@@ -11,6 +11,10 @@ cargo build --release
 FGDSM_PAR=0 cargo test -q
 FGDSM_PAR=4 cargo test -q
 cargo test -q --workspace
+# The repository benchmark is a package of its own (perfbench/, empty
+# `[workspace]`), so the workspace run above never builds it: compile it
+# against the public API it pins and run its own offline tests.
+cargo test -q --manifest-path perfbench/Cargo.toml
 # Host-perf harness smoke: one timed run of the suite at tiny scale must
 # produce a parseable, full-matrix host_perf.json (written to a scratch
 # path so the committed bench-scale artifact is untouched), then the
@@ -29,10 +33,10 @@ cargo test -q -p fgdsm-bench --test host_perf_smoke
 cargo run --release -q -p fgdsm-bench --bin perf_gate -- smoke
 git show HEAD:bench_results/host_perf.json > target/host_perf_prev.json 2>/dev/null || true
 cargo run --release -q -p fgdsm-bench --bin perf_gate -- trend target/host_perf_prev.json
-# Wire-seam gate: the chan backend (every transfer enveloped, carried
-# over channels and decoded back — no shared-memory shortcut) must stay
-# within 2x of sm_opt's serial median on the same stretched problems.
-cargo run --release -q -p fgdsm-bench --bin perf_gate -- chan
+# Wire-seam gate: strict wire mode (every transfer enveloped and
+# decoded back — no shared-memory shortcut) must stay within 2x of the
+# fast path's serial sm_opt median on the same stretched problems.
+cargo run --release -q -p fgdsm-bench --bin perf_gate -- wire
 # Profile-report smoke: the jacobi run self-asserts a well-formed
 # Chrome-trace export, a per-loop table that sums exactly to the
 # whole-run report, and the co-residency (false-sharing) demo; the
@@ -50,14 +54,11 @@ FGDSM_TEST=1 FGDSM_PROFILE_OUT=target/profile_smoke.json \
     cargo run --release -q -p fgdsm-bench --bin profile_report -- jacobi > /dev/null
 cmp target/profile_chrome_par0.json target/profile_chrome_par4.json
 # Wire-format determinism: the whole determinism suite again with every
-# backend forced through envelope encode/decode (FGDSM_WIRE=strict), and
-# the chan profile-report smoke with its wire-accounting invariants
-# (frames > 0, payload <= cluster bytes_sent, clean heatmap attribution).
+# backend forced through envelope encode/decode (FGDSM_WIRE=strict).
+# The strict wire-accounting invariants (frames > 0, payload <= cluster
+# bytes_sent, clean heatmap attribution) are asserted by the bench
+# crate's wire_strict test in the workspace run above.
 FGDSM_WIRE=strict cargo test -q -p fgdsm-bench --test determinism
-FGDSM_TEST=1 FGDSM_BACKEND=chan FGDSM_PROFILE_OUT=target/profile_chan_smoke.json \
-    cargo run --release -q -p fgdsm-bench --bin profile_report -- jacobi \
-    > target/profile_chan_smoke.txt
-grep -q "wire:" target/profile_chan_smoke.txt
 # Socket-backed runtime gate: probe whether the sandbox allows sockets
 # (TCP loopback first, Unix-domain fallback) with the node binary's
 # probe mode, then run the tcp suites over real node processes — fault
@@ -102,7 +103,8 @@ fi
 # Perf-trend tracker: one tiny-scale metered sweep appended to a scratch
 # JSONL (the committed bench-scale trend.jsonl is append-only and only
 # grows at landing time), then schema-validate both the scratch file and
-# the committed history. Runs on chan when the sandbox forbids sockets.
+# the committed history. Samples strict-wire sm_opt when the sandbox
+# forbids sockets.
 rm -f target/trend_smoke.jsonl
 FGDSM_TEST=1 FGDSM_TREND_RUNS=1 FGDSM_TREND_OUT=target/trend_smoke.jsonl \
     cargo run --release -q -p fgdsm-bench --bin perf_trend
@@ -113,7 +115,7 @@ cargo run --release -q -p fgdsm-bench --bin perf_trend -- check
 # coherence protocol + §4.2 contract (both protocol variants), the
 # must-catch mutation sweep (each seeded bug yields a minimal printed
 # counterexample), and conformance replays of enumerated sequences
-# through the real Dsm on the fast path and the chan wire path.
+# through the real Dsm on the fast path and the loopback wire path.
 cargo test -q -p fgdsm-model
 # Differential fuzz corpus: a fixed seed corpus (200 cases unless the
 # caller overrides FGDSM_FUZZ_CASES) through reference vs all backends.

@@ -15,21 +15,22 @@
 //!   unparseable, or old-format previous file is tolerated (the gate
 //!   prints a note and passes); a current ratio more than 1.25× worse
 //!   than the previous one fails.
-//! * `chan` — the wire-seam overhead gate: same two applications and
-//!   factor-8 stretch as `smoke`, serial runs only, and **fail** if the
-//!   `chan` backend's median exceeds 2.0× `sm_opt`'s — encoding every
-//!   transfer, carrying it across channel workers and decoding it back
-//!   must stay within small-constant-factor territory of the zero-copy
-//!   fast path.
+//! * `wire` — the wire-seam overhead gate: same two applications and
+//!   factor-8 stretch as `smoke`, serial `sm_opt` runs only, and **fail**
+//!   if the strict wire mode's median exceeds 2.0× the fast path's —
+//!   encoding every transfer into an envelope and decoding it back must
+//!   stay within small-constant-factor territory of the zero-copy fast
+//!   path. The baseline pins `WireMode::Fast`, so `FGDSM_WIRE` cannot
+//!   leak into it.
 //!
 //!     cargo run --release -p fgdsm-bench --bin perf_gate -- smoke
 //!     cargo run --release -p fgdsm-bench --bin perf_gate -- trend target/host_perf_prev.json
-//!     cargo run --release -p fgdsm-bench --bin perf_gate -- chan
+//!     cargo run --release -p fgdsm-bench --bin perf_gate -- wire
 
 use fgdsm_apps::{suite_scaled, Scale};
 use fgdsm_bench::json::{self, Value};
 use fgdsm_bench::NPROCS;
-use fgdsm_hpf::{execute, ExecConfig};
+use fgdsm_hpf::{execute, ExecConfig, WireMode};
 use fgdsm_testkit::{summarize_ns, Stopwatch};
 
 /// Threaded may be at most this multiple of serial in the smoke gate.
@@ -37,8 +38,8 @@ const SMOKE_RATIO: f64 = 1.2;
 /// A (app, backend, scale) ratio may regress by at most this factor
 /// between two committed artifacts.
 const TREND_RATIO: f64 = 1.25;
-/// The chan backend may cost at most this multiple of sm_opt serial.
-const CHAN_RATIO: f64 = 2.0;
+/// Strict wire mode may cost at most this multiple of the fast path.
+const WIRE_RATIO: f64 = 2.0;
 const SMOKE_FACTOR: usize = 8;
 const SMOKE_RUNS: usize = 3;
 const SMOKE_APPS: [&str; 2] = ["jacobi", "pde"];
@@ -86,30 +87,25 @@ fn smoke() -> bool {
     ok
 }
 
-fn chan_smoke() -> bool {
+fn wire_smoke() -> bool {
+    let mut fast_cfg = ExecConfig::sm_opt(NPROCS).serial();
+    fast_cfg.wire = WireMode::Fast;
+    let strict_cfg = ExecConfig::sm_opt(NPROCS).serial().strict();
     let mut ok = true;
     for spec in suite_scaled(Scale::Bench, SMOKE_FACTOR)
         .into_iter()
         .filter(|s| SMOKE_APPS.contains(&s.name))
     {
-        let sm_opt = median_ns(
-            &spec.program,
-            &ExecConfig::sm_opt(NPROCS).serial(),
-            SMOKE_RUNS,
-        );
-        let chan = median_ns(
-            &spec.program,
-            &ExecConfig::chan(NPROCS).serial(),
-            SMOKE_RUNS,
-        );
-        let ratio = chan as f64 / sm_opt as f64;
-        let verdict = if ratio <= CHAN_RATIO { "ok" } else { "FAIL" };
+        let fast = median_ns(&spec.program, &fast_cfg, SMOKE_RUNS);
+        let strict = median_ns(&spec.program, &strict_cfg, SMOKE_RUNS);
+        let ratio = strict as f64 / fast as f64;
+        let verdict = if ratio <= WIRE_RATIO { "ok" } else { "FAIL" };
         println!(
-            "perf-chan {:<8} scale {SMOKE_FACTOR}: sm_opt {sm_opt} ns, chan {chan} ns, \
-             ratio {ratio:.2} (limit {CHAN_RATIO}) — {verdict}",
+            "perf-wire {:<8} scale {SMOKE_FACTOR}: fast {fast} ns, strict {strict} ns, \
+             ratio {ratio:.2} (limit {WIRE_RATIO}) — {verdict}",
             spec.name
         );
-        ok &= ratio <= CHAN_RATIO;
+        ok &= ratio <= WIRE_RATIO;
     }
     ok
 }
@@ -203,7 +199,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let ok = match args.get(1).map(String::as_str) {
         None | Some("smoke") => smoke(),
-        Some("chan") => chan_smoke(),
+        Some("wire") => wire_smoke(),
         Some("trend") => {
             let prev = args.get(2).map(String::as_str).unwrap_or("");
             if prev.is_empty() {
@@ -215,7 +211,7 @@ fn main() {
         }
         Some(other) => {
             eprintln!(
-                "unknown subcommand `{other}` (expected `smoke`, `chan`, or `trend <prev.json>`)"
+                "unknown subcommand `{other}` (expected `smoke`, `wire`, or `trend <prev.json>`)"
             );
             false
         }

@@ -3,10 +3,11 @@
 //! overwritten.
 //!
 //! Each invocation runs the application suite once per app on the best
-//! available distributed backend (`tcp` when the sandbox allows sockets,
-//! `chan` otherwise) with telemetry on, and appends one JSONL row per
-//! app to `bench_results/trend.jsonl` (override the path with
-//! `FGDSM_TREND_OUT`): the git stamp, median host wall time over
+//! available envelope path (the `tcp` backend when the sandbox allows
+//! sockets, strict-wire `sm_opt` otherwise) with telemetry on, and
+//! appends one JSONL row per app to `bench_results/trend.jsonl`
+//! (override the path with `FGDSM_TREND_OUT`): the git stamp, median
+//! host wall time over
 //! `FGDSM_TREND_RUNS` runs (default 3), the on-wire payload volume, and
 //! the p99 of the coordinator's wall-clock route histograms. It then
 //! renders a PR-over-PR delta table comparing the newest git stamp
@@ -170,8 +171,11 @@ fn measure(git: &str, runs: usize) -> Vec<TrendRow> {
     let (backend, cfg) = if fgdsm_hpf::tcp_available() {
         ("tcp", ExecConfig::tcp(NPROCS).metered())
     } else {
-        eprintln!("notice: sandbox forbids sockets; perf_trend samples the chan backend");
-        ("chan", ExecConfig::chan(NPROCS).metered())
+        eprintln!("notice: sandbox forbids sockets; perf_trend samples strict-wire sm_opt");
+        (
+            "sm_opt/strict",
+            ExecConfig::sm_opt(NPROCS).strict().metered(),
+        )
     };
     let factor = std::env::var("FGDSM_SCALE")
         .ok()

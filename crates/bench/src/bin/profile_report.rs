@@ -12,19 +12,17 @@
 //! superstep) are summarized per run, and every run's Chrome-trace
 //! export is validated as well-formed before the table is trusted.
 //!
-//! `FGDSM_BACKEND=chan` appends the channel-backed distributed backend
-//! to the per-app matrix; each chan run additionally self-asserts the
+//! `FGDSM_BACKEND=tcp` appends the socket-backed multi-process backend
+//! to the per-app matrix; each tcp run additionally self-asserts the
 //! strict-wire accounting invariants (every heatmap byte attributed for
 //! reduction-free apps, wire payload reconciling with the cluster's
-//! `bytes_sent`). `FGDSM_BACKEND=tcp` appends the socket-backed
-//! multi-process backend instead: the same invariants apply, and the
-//! report closes with a predicted-vs-measured latency table putting the
-//! Table-1 cost model's virtual communication time next to the host
-//! nanoseconds the real socket round-trips actually took.
+//! `bytes_sent`), and the report closes with a predicted-vs-measured
+//! latency table putting the Table-1 cost model's virtual communication
+//! time next to the host nanoseconds the real socket round-trips
+//! actually took.
 //!
 //!     cargo run --release -p fgdsm-bench --bin profile_report
 //!     cargo run --release -p fgdsm-bench --bin profile_report -- jacobi
-//!     FGDSM_BACKEND=chan cargo run --release -p fgdsm-bench --bin profile_report -- jacobi
 //!     FGDSM_BACKEND=tcp cargo run --release -p fgdsm-bench --bin profile_report -- jacobi
 //!     FGDSM_CHROME=/tmp/j.json cargo run --release -p fgdsm-bench --bin profile_report -- jacobi
 
@@ -187,14 +185,13 @@ fn validate_chrome(app: &str, backend: &str, chrome: &str) {
     }
 }
 
-/// Extra backends requested through `FGDSM_BACKEND` (`chan` or `tcp`),
+/// Extra backends requested through `FGDSM_BACKEND` (only `tcp`),
 /// appended after the standard two. Requesting `tcp` in a sandbox that
 /// forbids sockets is a loud error — the CI gate probes availability
 /// before setting the variable.
 fn extra_backends() -> Vec<(&'static str, ExecConfig)> {
     match std::env::var("FGDSM_BACKEND").ok().as_deref() {
         None | Some("") => Vec::new(),
-        Some("chan") => vec![("chan", ExecConfig::chan(NPROCS))],
         Some("tcp") => {
             assert!(
                 fgdsm_hpf::tcp_available(),
@@ -207,37 +204,37 @@ fn extra_backends() -> Vec<(&'static str, ExecConfig)> {
             vec![("tcp", ExecConfig::tcp(NPROCS).metered())]
         }
         Some(other) => {
-            panic!("FGDSM_BACKEND: unknown backend `{other}` (expected `chan` or `tcp`)")
+            panic!("FGDSM_BACKEND: unknown backend `{other}` (expected `tcp`)")
         }
     }
 }
 
-/// Strict-wire accounting invariants of a `chan` or `tcp` run: the run
+/// Strict-wire accounting invariants of a `tcp` run: the run
 /// actually moved envelopes, the payload words they carried never exceed
 /// the protocol's own byte accounting (`bytes_sent` adds fixed
 /// per-message headers on top, reduction traffic is counted but not
 /// enveloped), and for reduction-free apps every heatmap byte is
 /// block-attributed — reductions are the only traffic with no home
-/// block, so nothing else may leak into `unattributed_bytes`. A `tcp`
-/// run must additionally accrue *measured* route time: real socket
-/// round-trips cost host nanoseconds the in-process backends never see.
-fn check_wire_invariants(app: &str, backend: &str, run: &RunResult) {
+/// block, so nothing else may leak into `unattributed_bytes`. The run
+/// must also accrue *measured* route time: real socket round-trips cost
+/// host nanoseconds the in-process backends never see.
+fn check_wire_invariants(app: &str, run: &RunResult) {
     let mut whole = fgdsm_tempest::NodeStats::default();
     for n in &run.report.nodes {
         whole.accumulate(n);
     }
     assert!(
         run.wire_frames > 0 || whole.bytes_sent == 0,
-        "{app}/{backend}: traffic flowed ({} bytes) but no envelopes were routed",
+        "{app}/tcp: traffic flowed ({} bytes) but no envelopes were routed",
         whole.bytes_sent
     );
     assert!(
         run.wire_payload_bytes > 0 || whole.bytes_sent == 0,
-        "{app}/{backend}: envelopes routed but carried no payload"
+        "{app}/tcp: envelopes routed but carried no payload"
     );
     assert!(
         run.wire_payload_bytes <= whole.bytes_sent,
-        "{app}/{backend}: wire payload {} exceeds cluster bytes_sent {}",
+        "{app}/tcp: wire payload {} exceeds cluster bytes_sent {}",
         run.wire_payload_bytes,
         whole.bytes_sent
     );
@@ -245,16 +242,14 @@ fn check_wire_invariants(app: &str, backend: &str, run: &RunResult) {
         for (n, hm) in run.report.heatmaps.iter().enumerate() {
             assert_eq!(
                 hm.unattributed_bytes, 0,
-                "{app}/{backend}: node {n} sent unattributed bytes in a reduction-free app"
+                "{app}/tcp: node {n} sent unattributed bytes in a reduction-free app"
             );
         }
     }
-    if backend == "tcp" {
-        assert!(
-            run.wire_route_ns() > 0 || run.wire_frames == 0,
-            "{app}/tcp: socket round-trips must accrue measured route time"
-        );
-    }
+    assert!(
+        run.wire_route_ns() > 0 || run.wire_frames == 0,
+        "{app}/tcp: socket round-trips must accrue measured route time"
+    );
     println!(
         "    wire: {} frames, {} payload bytes ({} cluster bytes_sent)",
         run.wire_frames, run.wire_payload_bytes, whole.bytes_sent
@@ -463,10 +458,8 @@ fn main() {
         for (backend, cfg) in backends {
             let (run, _trace, chrome) = execute_profiled(&spec.program, &cfg);
             report_run(spec.name, backend, &loop_names, &run, &chrome, &mut rows);
-            if backend == "chan" || backend == "tcp" {
-                check_wire_invariants(spec.name, backend, &run);
-            }
             if backend == "tcp" {
+                check_wire_invariants(spec.name, &run);
                 let mut whole = fgdsm_tempest::NodeStats::default();
                 for n in &run.report.nodes {
                     whole.accumulate(n);

@@ -9,9 +9,9 @@
 //!
 //! When the sandbox allows sockets, each row also carries the
 //! socket-backed `tcp` backend's virtual times (`tcp_s`/`tcp_comm_s`
-//! must equal `chan`'s — both are `sm_opt[full]` behind a wire seam)
-//! and a sixth wall-clock entry; otherwise those fields are `null` and
-//! the wall vector keeps its five in-process entries.
+//! must equal `opt_s`/`opt_comm_s` — `tcp` is `sm_opt[full]` behind a
+//! wire seam) and a fifth wall-clock entry; otherwise those fields are
+//! `null` and the wall vector keeps its four in-process entries.
 //!
 //!     cargo run --release -p fgdsm-bench --bin suite_report
 //!     FGDSM_FULL=1 cargo run --release -p fgdsm-bench --bin suite_report
@@ -33,13 +33,11 @@ json_row! {
         opt_comm_s: f64,
         mp_s: f64,
         mp_comm_s: f64,
-        chan_s: f64,
-        chan_comm_s: f64,
         /// Socket-backed multi-process backend; `null` when the sandbox
         /// forbids sockets.
         tcp_s: Option<f64>,
         tcp_comm_s: Option<f64>,
-        /// Host wall-clock for the runs above, in order (a sixth entry
+        /// Host wall-clock for the runs above, in order (a fifth entry
         /// when the `tcp` run participates).
         wall_ns: Vec<u64>,
     }
@@ -62,10 +60,9 @@ fn main() {
         let un = execute(&spec.program, &ExecConfig::sm_unopt(8));
         let op = execute(&spec.program, &ExecConfig::sm_opt(8));
         let mp = execute(&spec.program, &ExecConfig::mp(8));
-        let chan = execute(&spec.program, &ExecConfig::chan(8));
         let tcp = with_tcp.then(|| execute(&spec.program, &ExecConfig::tcp(8)));
         let wall = |r: &RunResult| r.report.wall_ns;
-        let mut walls = vec![wall(&uni), wall(&un), wall(&op), wall(&mp), wall(&chan)];
+        let mut walls = vec![wall(&uni), wall(&un), wall(&op), wall(&mp)];
         if let Some(t) = &tcp {
             walls.push(wall(t));
         }
@@ -79,7 +76,7 @@ fn main() {
             None => String::new(),
         };
         println!(
-            "{:8} uni {:8.3}s | unopt tot {:7.3} comm {:7.3} | opt tot {:7.3} comm {:7.3} | mp tot {:7.3} comm {:7.3} | chan tot {:7.3} comm {:7.3}{tcp_col} | wall {:8.1}ms",
+            "{:8} uni {:8.3}s | unopt tot {:7.3} comm {:7.3} | opt tot {:7.3} comm {:7.3} | mp tot {:7.3} comm {:7.3}{tcp_col} | wall {:8.1}ms",
             spec.name,
             uni.total_s(),
             un.total_s(),
@@ -88,8 +85,6 @@ fn main() {
             op.report.comm_s(),
             mp.total_s(),
             mp.report.comm_s(),
-            chan.total_s(),
-            chan.report.comm_s(),
             wall_ms,
         );
         rows.push(Row {
@@ -102,8 +97,6 @@ fn main() {
             opt_comm_s: op.report.comm_s(),
             mp_s: mp.total_s(),
             mp_comm_s: mp.report.comm_s(),
-            chan_s: chan.total_s(),
-            chan_comm_s: chan.report.comm_s(),
             tcp_s: tcp.as_ref().map(RunResult::total_s),
             tcp_comm_s: tcp.as_ref().map(|t| t.report.comm_s()),
             wall_ns: walls,

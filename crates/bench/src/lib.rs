@@ -502,7 +502,7 @@ pub mod host_perf {
         git.ends_with("-dirty") && !std::env::var("FGDSM_BENCH_FORCE").is_ok_and(|v| v == "1")
     }
 
-    /// Measure the full 6-app × 5-backend × scale-factor × 3-mode matrix:
+    /// Measure the full 6-app × 4-backend × scale-factor × 3-mode matrix:
     /// `runs` timed executions each, `workers` threads in the threaded
     /// modes, one problem stretch per entry of `factors` (the
     /// `FGDSM_SCALE` axis). The `tcp` backend rows time real socket
@@ -522,7 +522,6 @@ pub mod host_perf {
             ("sm_unopt", ExecConfig::sm_unopt(crate::NPROCS)),
             ("sm_opt", ExecConfig::sm_opt(crate::NPROCS)),
             ("mp", ExecConfig::mp(crate::NPROCS)),
-            ("chan", ExecConfig::chan(crate::NPROCS)),
         ];
         if fgdsm_hpf::tcp_available() {
             backends.push(("tcp", ExecConfig::tcp(crate::NPROCS)));

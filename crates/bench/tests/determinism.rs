@@ -163,40 +163,15 @@ fn whole_suite_is_schedule_independent_at_test_scale() {
         assert_deterministic(&spec, &ExecConfig::sm_unopt(NPROCS), "sm_unopt");
         assert_deterministic(&spec, &ExecConfig::sm_opt(NPROCS), "sm_opt");
         assert_deterministic(&spec, &ExecConfig::mp(NPROCS), "mp");
-        assert_deterministic(&spec, &ExecConfig::chan(NPROCS), "chan");
     }
 }
 
-/// The channel-backed distributed backend is `sm_opt` at the full
-/// optimization level behind a wire seam, so it must not merely be
-/// internally deterministic — every observable artifact (report, trace,
-/// profile JSON, Chrome export, planned transfers, gathered data bits,
-/// scalars) must be byte-identical to the `sm_opt` *serial baseline*,
-/// in serial and threaded mode alike. This is the cross-backend pin
-/// that makes the wire refactor invisible.
-#[test]
-fn chan_is_byte_identical_to_sm_opt() {
-    for spec in suite(Scale::Test) {
-        assert_modes_match(
-            &spec,
-            &ExecConfig::sm_opt(NPROCS),
-            "chan-vs-sm_opt",
-            vec![
-                ("chan-serial", ExecConfig::chan(NPROCS).serial()),
-                (
-                    "chan-rthreads",
-                    ExecConfig::chan(NPROCS).serial().resolve_threads(4),
-                ),
-                ("chan-threads", ExecConfig::chan(NPROCS).threads(4)),
-            ],
-        );
-    }
-}
-
-/// The socket-backed distributed backend is the same contract as `chan`
-/// carried over real sockets to spawned `fgdsm-node` processes — so the
-/// identical cross-backend pin applies: every observable artifact must
-/// be byte-identical to the `sm_opt` serial baseline, in serial and
+/// The socket-backed distributed backend is `sm_opt` at the full
+/// optimization level carried over real sockets to spawned `fgdsm-node`
+/// processes, so it must not merely be internally deterministic — every
+/// observable artifact (report, trace, profile JSON, Chrome export,
+/// planned transfers, gathered data bits, scalars) must be
+/// byte-identical to the `sm_opt` serial baseline, in serial and
 /// threaded mode alike, even though the data path round-trips through
 /// kernel socket buffers and separate address spaces. Skips with a
 /// notice when the sandbox forbids sockets.
@@ -226,8 +201,8 @@ fn tcp_is_byte_identical_to_sm_opt() {
 /// Strict wire mode (`FGDSM_WIRE=strict`) reroutes every inter-node
 /// transfer through encoded envelopes on every backend, but charges and
 /// counters are taken at exactly the same points — so each backend's
-/// strict runs must reproduce its own fast-path serial baseline byte
-/// for byte.
+/// strict runs (serial, threaded resolve only, fully threaded) must
+/// reproduce its own fast-path serial baseline byte for byte.
 #[test]
 fn strict_wire_matches_fast_path() {
     for spec in suite(Scale::Test) {
@@ -242,6 +217,10 @@ fn strict_wire_matches_fast_path() {
                 backend,
                 vec![
                     ("strict-serial", cfg.clone().serial().strict()),
+                    (
+                        "strict-rthreads",
+                        cfg.clone().serial().resolve_threads(4).strict(),
+                    ),
                     ("strict-threads", cfg.clone().threads(4).strict()),
                 ],
             );
@@ -279,7 +258,6 @@ fn scaled_suite_is_schedule_and_pool_independent() {
             ("sm_unopt", ExecConfig::sm_unopt(NPROCS)),
             ("sm_opt", ExecConfig::sm_opt(NPROCS)),
             ("mp", ExecConfig::mp(NPROCS)),
-            ("chan", ExecConfig::chan(NPROCS)),
         ] {
             assert_deterministic(&spec, &cfg, backend);
             assert_pool_invariant(&spec, &cfg, backend);

@@ -10,7 +10,7 @@ use fgdsm_bench::json::{self, ToJson, Value};
 
 /// Every measured backend, `tcp` (the socket-backed multi-process
 /// runtime) last so an availability-truncated slice is contiguous.
-const BACKENDS: [&str; 5] = ["sm_unopt", "sm_opt", "mp", "chan", "tcp"];
+const BACKENDS: [&str; 4] = ["sm_unopt", "sm_opt", "mp", "tcp"];
 
 /// Validate one parsed harness document against the full matrix over
 /// `backends`, one row block per required scale factor.

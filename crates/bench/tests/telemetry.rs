@@ -5,7 +5,7 @@
 //! * **Byte-identity**: telemetry is a pure side channel. Every canonical
 //!   artifact — report JSON, structured trace, profile JSON, Chrome
 //!   trace, gathered data, scalars — must be byte-identical with metrics
-//!   on vs off, across the serial, threaded, `chan`, and (when the
+//!   on vs off, across the serial, threaded, strict-wire, and (when the
 //!   sandbox allows sockets) `tcp` configurations.
 //! * **Liveness + conservation**: a metered `tcp` run must actually
 //!   populate per-class histograms on both sides of the socket, merge
@@ -25,7 +25,6 @@ fn metrics_on_vs_off_canonical_artifacts_are_byte_identical() {
         ("sm_opt/serial", ExecConfig::sm_opt(NPROCS).serial()),
         ("sm_opt/threads", ExecConfig::sm_opt(NPROCS).threads(3)),
         ("sm_opt/strict", ExecConfig::sm_opt(NPROCS).strict()),
-        ("chan", ExecConfig::chan(NPROCS)),
     ];
     if tcp_available() {
         configs.push(("tcp", ExecConfig::tcp(NPROCS)));

@@ -1,10 +1,11 @@
-//! Wire-layer accounting invariants for the channel-backed backend.
+//! Wire-layer accounting invariants for strict wire mode in process.
 //!
-//! The `chan` backend is the proof of the wire seam: every inter-node
-//! transfer is encoded into an owned `WireMsg` byte frame, carried over
-//! an mpsc channel, and decoded on the far side — no shared-memory
-//! shortcut exists. These tests pin down what that buys us across the
-//! whole Table 2 suite:
+//! Strict wire mode (`FGDSM_WIRE=strict`) is the in-process proof of the
+//! wire seam: every inter-node transfer is encoded into an owned
+//! `WireMsg` byte frame, handed through the loopback transport, and
+//! decoded before it is applied — no shared-memory shortcut exists.
+//! These tests pin down what that buys us across the whole Table 2
+//! suite:
 //!
 //! * the frame and payload counters are live (`wire_frames > 0` whenever
 //!   the cluster moved any bytes at all) and reconcile against the
@@ -13,10 +14,11 @@
 //!   data the envelope carries, and reductions are noted but never
 //!   enveloped);
 //! * the zero-copy fast path routes *nothing* through the wire layer, so
-//!   the counters prove which path ran;
-//! * wire accounting stays out of the canonical artifacts: `chan`
-//!   reports, profiles, and gathered data are byte-identical to
-//!   `sm_opt`'s (full opt level), the backend it mirrors.
+//!   the counters prove which path ran.
+//!
+//! That strict runs stay byte-identical to the fast path in every
+//! canonical artifact is pinned by the determinism suite
+//! (`strict_wire_matches_fast_path`).
 
 use fgdsm_apps::{suite, Scale};
 use fgdsm_bench::NPROCS;
@@ -32,12 +34,12 @@ fn cluster_totals(run: &fgdsm_hpf::RunResult) -> NodeStats {
     whole
 }
 
-/// The chan backend must route every transfer through envelopes, and the
+/// Strict `sm_opt` must route every transfer through envelopes, and the
 /// envelope accounting must reconcile with the simulator's byte charges.
 #[test]
-fn chan_wire_accounting_reconciles() {
+fn strict_wire_accounting_reconciles() {
     for spec in suite(Scale::Test) {
-        let run = execute(&spec.program, &ExecConfig::chan(NPROCS));
+        let run = execute(&spec.program, &ExecConfig::sm_opt(NPROCS).strict());
         let whole = cluster_totals(&run);
         assert!(
             whole.bytes_sent > 0,
@@ -46,13 +48,13 @@ fn chan_wire_accounting_reconciles() {
         );
         assert!(
             run.wire_frames > 0,
-            "{}: chan run moved {} bytes but routed no wire frames",
+            "{}: strict run moved {} bytes but routed no wire frames",
             spec.name,
             whole.bytes_sent
         );
         assert!(
             run.wire_payload_bytes > 0,
-            "{}: chan run routed {} frames with no payload",
+            "{}: strict run routed {} frames with no payload",
             spec.name,
             run.wire_frames
         );
@@ -77,8 +79,8 @@ fn chan_wire_accounting_reconciles() {
 }
 
 /// The zero-copy fast path must not touch the wire layer: its counters
-/// stay at zero, which is how we know `chan`/strict actually exercised
-/// the envelopes.
+/// stay at zero, which is how we know strict mode actually exercised the
+/// envelopes.
 #[test]
 fn fast_path_routes_no_frames() {
     for spec in suite(Scale::Test) {
@@ -101,40 +103,5 @@ fn fast_path_routes_no_frames() {
                 spec.name
             );
         }
-    }
-}
-
-/// Wire accounting is deliberately outside the canonical report: `chan`
-/// must be byte-identical to `sm_opt` at the full opt level in every
-/// artifact the suite emits.
-#[test]
-fn chan_artifacts_match_sm_opt() {
-    for spec in suite(Scale::Test) {
-        let chan = execute(&spec.program, &ExecConfig::chan(NPROCS));
-        let smopt = execute(&spec.program, &ExecConfig::sm_opt(NPROCS));
-        assert_eq!(
-            chan.report.to_json(),
-            smopt.report.to_json(),
-            "{}: chan report diverged from sm_opt",
-            spec.name
-        );
-        assert_eq!(
-            chan.report.profile_json(),
-            smopt.report.profile_json(),
-            "{}: chan profile artifact diverged from sm_opt",
-            spec.name
-        );
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&chan.data),
-            bits(&smopt.data),
-            "{}: chan gathered data diverged from sm_opt",
-            spec.name
-        );
-        assert_eq!(
-            chan.scalars, smopt.scalars,
-            "{}: chan scalars diverged from sm_opt",
-            spec.name
-        );
     }
 }

@@ -1,8 +1,8 @@
 //! Wire-layer accounting invariants for the socket-backed `tcp` backend.
 //!
-//! The `tcp` backend carries the same envelope discipline as `chan` over
-//! real sockets to spawned `fgdsm-node` worker processes, so the same
-//! accounting invariants hold — plus two it alone can prove:
+//! The `tcp` backend carries the same envelope discipline as strict wire
+//! mode over real sockets to spawned `fgdsm-node` worker processes, so
+//! the same accounting invariants hold — plus two it alone can prove:
 //!
 //! * the measured route time (`wire_route_ns`) is live: socket
 //!   round-trips cost real host nanoseconds, which the virtual clock

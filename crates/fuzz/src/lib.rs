@@ -10,11 +10,13 @@
 //!   the program — so a failing case can be shrunk and replayed exactly.
 //! * [`oracle`] — runs the spec's program through the sequential
 //!   reference interpreter and every backend (`sm_unopt`, `sm_opt` at
-//!   every [`fgdsm_hpf::OptLevel`] toggle combination, `mp`), each in
-//!   both serial and threaded compute mode, and asserts byte-identical
-//!   final array contents and scalars. Protocol consistency and trace
-//!   invariants (balanced message/byte counters, monotone per-node
-//!   clocks) are asserted inside the engine on every run.
+//!   every [`fgdsm_hpf::OptLevel`] toggle combination, `mp`, plus
+//!   strict-wire twins that round-trip every transfer through encoded
+//!   envelopes), each in both serial and threaded compute mode, and
+//!   asserts byte-identical final array contents and scalars. Protocol
+//!   consistency and trace invariants (balanced message/byte counters,
+//!   monotone per-node clocks) are asserted inside the engine on every
+//!   run.
 //! * [`shrink`] — on divergence, a greedy minimizer that drops
 //!   statements, reads and arrays and shrinks extents / time counts /
 //!   node counts while the divergence persists, then renders a

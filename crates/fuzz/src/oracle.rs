@@ -50,9 +50,14 @@ fn opt_label(o: &OptLevel) -> String {
 }
 
 /// The `sm_opt` config label at the full optimization level — the
-/// config the `chan` backend is pinned byte-identical to.
+/// config its strict-wire twin is pinned byte-identical to.
 fn sm_opt_full_label() -> String {
     format!("sm_opt[{}]", opt_label(&OptLevel::full()))
+}
+
+/// The strict-wire twin of [`sm_opt_full_label`].
+fn sm_opt_full_strict_label() -> String {
+    format!("{}/wire-strict", sm_opt_full_label())
 }
 
 /// The backend matrix for a spec: `sm_unopt`, `sm_opt` at every
@@ -61,9 +66,8 @@ fn sm_opt_full_label() -> String {
 /// model (it never flushes written data back to the distribution owner).
 /// After the fast-path configs, the same corners re-run in strict wire
 /// mode (every transfer round-trips through encoded [`fgdsm_hpf`] wire
-/// envelopes over a loopback transport), and the `chan` backend closes
-/// the matrix: channel workers carrying owned bytes, whose serial run
-/// must additionally be byte-identical to `sm_opt[full]`'s.
+/// envelopes over a loopback transport); the `sm_opt[full]` one's serial
+/// run must additionally be byte-identical to its fast-path twin's.
 pub fn backend_configs(spec: &FuzzSpec) -> Vec<(String, ExecConfig)> {
     let n = spec.nprocs;
     let mut v = vec![("sm_unopt".to_string(), ExecConfig::sm_unopt(n))];
@@ -81,13 +85,12 @@ pub fn backend_configs(spec: &FuzzSpec) -> Vec<(String, ExecConfig)> {
         ExecConfig::sm_unopt(n).strict(),
     ));
     v.push((
-        format!("{}/wire-strict", sm_opt_full_label()),
+        sm_opt_full_strict_label(),
         ExecConfig::sm_unopt(n).with_opt(OptLevel::full()).strict(),
     ));
     if !spec.has_nonowner_writes() {
         v.push(("mp/wire-strict".to_string(), ExecConfig::mp(n).strict()));
     }
-    v.push(("chan".to_string(), ExecConfig::chan(n)));
     v
 }
 
@@ -129,9 +132,9 @@ fn first_diff(a: &str, b: &str) -> String {
 pub fn check_spec(spec: &FuzzSpec) -> Result<(), Divergence> {
     let prog = spec.build();
     let reference = execute_reference(&prog, &ExecConfig::sm_unopt(spec.nprocs));
-    // `chan` is `sm_opt[full]` behind a channel transport, so beyond
-    // agreeing with the reference it must reproduce that config's serial
-    // artifacts byte for byte — the cross-backend pin that proves the
+    // `sm_opt[full]/wire-strict` is `sm_opt[full]` behind the envelope
+    // seam, so beyond agreeing with the reference it must reproduce that
+    // config's serial artifacts byte for byte — the pin that proves the
     // wire seam changes nothing observable.
     let mut smopt_full_serial: Option<(String, String, String)> = None;
     for (name, cfg) in backend_configs(spec) {
@@ -253,10 +256,10 @@ pub fn check_spec(spec: &FuzzSpec) -> Result<(), Divergence> {
         let serial = baseline.expect("serial mode always runs");
         if name == sm_opt_full_label() {
             smopt_full_serial = Some(serial);
-        } else if name == "chan" {
+        } else if name == sm_opt_full_strict_label() {
             let want = smopt_full_serial
                 .as_ref()
-                .expect("sm_opt[full] runs before chan in the matrix");
+                .expect("sm_opt[full] runs before its strict twin in the matrix");
             for (what, w, g) in [
                 ("report", &want.0, &serial.0),
                 ("trace", &want.1, &serial.1),
@@ -264,7 +267,7 @@ pub fn check_spec(spec: &FuzzSpec) -> Result<(), Divergence> {
             ] {
                 if w != g {
                     return Err(Divergence {
-                        config: "chan/serial".into(),
+                        config: format!("{name}/serial"),
                         detail: format!(
                             "{what} diverges from sm_opt[full]/serial ({})",
                             first_diff(w, g)
@@ -282,7 +285,7 @@ pub fn check_spec(spec: &FuzzSpec) -> Result<(), Divergence> {
 /// socket to spawned `fgdsm-node` worker processes — must agree with
 /// the sequential reference bitwise AND reproduce `sm_opt[full]`'s
 /// serial report, trace and profile artifacts byte for byte, exactly as
-/// `chan` does inside [`check_spec`].
+/// `sm_opt[full]/wire-strict` does inside [`check_spec`].
 ///
 /// Kept out of [`backend_configs`]: one tcp run spawns a whole process
 /// fleet, so the corpus replays a separately sized slice through this

@@ -173,8 +173,8 @@ fn must_catch_misfolded_pool_results() {
 /// flipped inside the first envelope routed in strict wire mode: decode
 /// validation must reject the frame and fail the run loudly. The
 /// fast-path configs never see an envelope, so the divergence must land
-/// on a `wire-strict` config or the `chan` backend — proving the
-/// injection (and thus the validation) lives on the wire seam itself.
+/// on a `wire-strict` config — proving the injection (and thus the
+/// validation) lives on the wire seam itself.
 #[test]
 fn must_catch_corrupt_envelope() {
     let mut spec = skew_victim();
@@ -184,7 +184,7 @@ fn must_catch_corrupt_envelope() {
     };
     let d = check_spec(&spec).expect_err("corrupt envelope must be detected");
     assert!(
-        d.config.contains("wire-strict") || d.config.starts_with("chan"),
+        d.config.contains("wire-strict"),
         "only envelope paths can observe the corruption, diverged at {d}"
     );
     assert!(
@@ -244,7 +244,7 @@ fn must_catch_undercounted_metrics() {
     };
     let d = check_spec(&spec).expect_err("undercounted telemetry must be detected");
     assert!(
-        d.config.contains("wire-strict") || d.config.starts_with("chan"),
+        d.config.contains("wire-strict"),
         "only envelope paths record wire telemetry, diverged at {d}"
     );
     assert!(

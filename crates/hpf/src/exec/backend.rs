@@ -29,9 +29,6 @@ use fgdsm_tempest::ReduceOp;
 /// after the kernels (`note_kernel_writes`, `reduce`, `post_loop`) runs
 /// on the driver thread again.
 pub trait CommBackend {
-    /// Backend name for diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Check configuration invariants before the run starts (e.g. the
     /// §4.2 contract requires a protocol that supports it).
     fn validate(&self, _core: &EngineCore) {}

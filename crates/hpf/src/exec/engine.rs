@@ -171,15 +171,11 @@ impl<'p> EngineCore<'p> {
                 && !cfg.inject.undercount_metrics,
             "protocol-level fault injection requires the `fault-inject` feature"
         );
-        // Strict wire mode: the chan backend always routes envelopes
-        // (through real channel workers) and the tcp backend through
-        // spawned node processes; the other backends do so when
+        // Strict wire mode: the tcp backend always routes envelopes
+        // through spawned node processes; the other backends do so when
         // `WireMode` asks (loopback transport — same encode/decode
         // round-trip, no threads).
         match cfg.backend {
-            super::Backend::Chan => {
-                dsm.set_wire(Box::new(fgdsm_protocol::ChanTransport::new(cfg.nprocs)));
-            }
             super::Backend::Tcp => {
                 let geom = fgdsm_net::NetGeometry {
                     nprocs: cfg.nprocs,

@@ -1,7 +1,7 @@
 //! Executors: run a mini-HPF program over the simulated DSM.
 //!
 //! The executor is split into a backend-agnostic BSP **superstep driver**
-//! ([`engine`]) and four pluggable **communication backends** behind the
+//! ([`engine`]) and three pluggable **communication backends** behind the
 //! [`backend::CommBackend`] trait:
 //!
 //! * [`sm_unopt::SmUnopt`] — every remote access goes through the default
@@ -20,14 +20,14 @@
 //! * [`mp::Mp`] — the message-passing backend: owner-computes with direct
 //!   marshalled messages, no coherence machinery at all, paying the PGI
 //!   runtime's per-message overhead.
-//! * [`chan::Chan`] — `sm_opt`'s full contract over a channel transport:
-//!   every inter-node transfer is encoded into a
-//!   [`fgdsm_protocol::WireMsg`] envelope, carried between per-node
-//!   worker threads that share no shard memory, decoded, and applied
-//!   from the payload — the seam a real distributed port would use.
-//!   Byte-identical to `sm_opt` (determinism suite + fuzz oracle).
-//!   [`WireMode`] / `FGDSM_WIRE=strict` force the same envelope
-//!   round-trip under the sm_* and mp backends for differential testing.
+//!
+//! Every transfer can instead be forced through an encoded
+//! [`fgdsm_protocol::WireMsg`] envelope: [`WireMode`] /
+//! `FGDSM_WIRE=strict` round-trip it through the in-process loopback
+//! transport under any backend, and [`Backend::Tcp`] runs `sm_opt`'s full
+//! contract with every envelope framed over a socket to a spawned
+//! `fgdsm-node` process. Both are byte-identical to the zero-copy fast
+//! path (determinism suite + fuzz oracle).
 //!
 //! Execution is BSP, and every superstep is split into two explicit
 //! phases. The **resolve phase** discovers every cross-node transfer the
@@ -50,16 +50,13 @@
 //! to get the same document back directly.
 
 pub mod backend;
-pub mod chan;
 pub mod engine;
 pub mod mp;
 pub mod reference;
 pub mod sm_opt;
 pub mod sm_unopt;
-pub mod tcp;
 
 pub use reference::{execute_reference, ReferenceResult};
-pub use tcp::tcp_available;
 
 use crate::ir::Program;
 use crate::plan::{ArrayMeta, OptLevel};
@@ -68,6 +65,13 @@ use fgdsm_protocol::{CtlStats, ProtocolKind};
 use fgdsm_section::Env;
 use fgdsm_tempest::{CacheModel, ClusterReport, CostModel, MetricsRegistry, WireSpan};
 use std::collections::BTreeMap;
+
+/// Can the `tcp` backend run here? True when the sandbox lets us bind a
+/// loopback TCP or Unix-domain socket (honors `FGDSM_NET`). Callers that
+/// get `false` should skip with a notice rather than fail.
+pub fn tcp_available() -> bool {
+    fgdsm_net::available_kind().is_some()
+}
 
 /// Which executor to use.
 #[derive(Clone, Copy, Debug)]
@@ -78,13 +82,6 @@ pub enum Backend {
     SmOpt(OptLevel),
     /// Message-passing backend.
     Mp,
-    /// Channel-backed distributed backend: `sm_opt`'s full contract, but
-    /// every inter-node transfer round-trips through encoded
-    /// [`fgdsm_protocol::WireMsg`] bytes carried by per-node channel
-    /// worker threads that share no shard memory. Byte-identical to
-    /// `sm_opt` at the full optimization level (pinned by the determinism
-    /// suite and the fuzz oracle).
-    Chan,
     /// Socket-backed multi-process distributed backend: `sm_opt`'s full
     /// contract, but every inter-node transfer is framed over a real
     /// socket (TCP loopback, or Unix-domain where TCP is forbidden) to a
@@ -92,8 +89,11 @@ pub enum Backend {
     /// shard words, decodes each envelope with the paranoid wire
     /// decoder, applies it, and re-encodes the reply from its own
     /// memory. Byte-identical to `sm_opt` at the full optimization
-    /// level. Peer death and recv deadlines surface as typed
-    /// [`fgdsm_protocol::WireError`]s through [`try_execute`].
+    /// level. A dead node surfaces as a typed
+    /// [`fgdsm_protocol::WireError::PeerGone`], a wedged one as
+    /// [`fgdsm_protocol::WireError::Timeout`] once the
+    /// `FGDSM_NET_TIMEOUT_MS` recv deadline fires — both catchable via
+    /// [`try_execute`].
     Tcp,
 }
 
@@ -262,7 +262,7 @@ pub struct ExecConfig {
     pub pool: PoolMode,
     /// Wire discipline for inter-node data movement: zero-copy fast path
     /// or strict envelope round-tripping (`FGDSM_WIRE=strict`). The
-    /// `chan` backend is always strict regardless of this knob.
+    /// `tcp` backend is always strict regardless of this knob.
     pub wire: WireMode,
     /// Wall-clock telemetry (`FGDSM_METRICS=1`): per-message-class
     /// latency histograms on both sides of the wire, merged into
@@ -314,8 +314,8 @@ pub struct InjectConfig {
     /// Must-catch: flip a byte inside the first envelope routed in strict
     /// wire mode — `WireMsg::from_bytes` must reject the frame and fail
     /// the run loudly, proving decode validation has teeth (needs
-    /// `fault-inject` and an envelope path: the `chan` backend or
-    /// `FGDSM_WIRE=strict`).
+    /// `fault-inject` and an envelope path: `FGDSM_WIRE=strict` or the
+    /// `tcp` backend).
     pub corrupt_envelope: bool,
     /// Must-catch: overwrite the length prefix of the first data frame
     /// the coordinator sends with an oversized value — the node's
@@ -373,16 +373,6 @@ impl ExecConfig {
     pub fn mp(nprocs: usize) -> Self {
         ExecConfig {
             backend: Backend::Mp,
-            ..Self::sm_unopt(nprocs)
-        }
-    }
-
-    /// Channel-backed distributed backend (`FGDSM_BACKEND=chan`): the
-    /// full `sm_opt` contract with every transfer round-tripped through
-    /// encoded envelopes over per-node channel workers.
-    pub fn chan(nprocs: usize) -> Self {
-        ExecConfig {
-            backend: Backend::Chan,
             ..Self::sm_unopt(nprocs)
         }
     }
@@ -628,8 +618,9 @@ fn make_backend(cfg: &ExecConfig) -> Box<dyn CommBackend> {
         Backend::SmUnopt => Box::new(sm_unopt::SmUnopt),
         Backend::SmOpt(opt) => Box::new(sm_opt::SmOpt::new(opt)),
         Backend::Mp => Box::new(mp::Mp::new(cfg.nprocs)),
-        Backend::Chan => Box::new(chan::Chan::new()),
-        Backend::Tcp => Box::new(tcp::Tcp::new()),
+        // The socket transport is the engine's business; the contract is
+        // sm_opt's at the full optimization level.
+        Backend::Tcp => Box::new(sm_opt::SmOpt::new(OptLevel::full())),
     }
 }
 

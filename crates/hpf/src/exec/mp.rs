@@ -26,10 +26,6 @@ impl Mp {
 }
 
 impl CommBackend for Mp {
-    fn name(&self) -> &'static str {
-        "mp"
-    }
-
     fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, acc: &LoopAccess) {
         let mut users: BTreeSet<usize> = BTreeSet::new();
         // Planned strided sends, merged per (owner, user) pair.

@@ -237,10 +237,6 @@ impl SmOpt {
 }
 
 impl CommBackend for SmOpt {
-    fn name(&self) -> &'static str {
-        "sm-opt"
-    }
-
     fn validate(&self, core: &EngineCore) {
         assert!(
             !self.opt.ctl || core.dsm.supports_ctl(),

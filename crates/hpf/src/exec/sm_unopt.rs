@@ -12,10 +12,6 @@ use crate::ir::ParLoop;
 pub struct SmUnopt;
 
 impl CommBackend for SmUnopt {
-    fn name(&self) -> &'static str {
-        "sm-unopt"
-    }
-
     fn resolve(&mut self, core: &mut EngineCore, l: &ParLoop, acc: &LoopAccess) {
         core.resolve_default(l, acc);
     }

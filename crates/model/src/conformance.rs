@@ -9,11 +9,11 @@
 //! all carry them faithfully. After the sequence the driver compares,
 //! block by block, the real directory entry, every node's access tag,
 //! and every valid copy's contents against the abstract state — on the
-//! in-process fast path and on the channel-backed wire path.
+//! in-process fast path and on the loopback wire path.
 
 use crate::absmodel::{AbsState, Mutation, Op, Proto, WORDS};
 use crate::checker::ModelConfig;
-use fgdsm_protocol::{ChanTransport, Dsm, Injection, ProtocolKind};
+use fgdsm_protocol::{Dsm, Injection, Loopback, ProtocolKind};
 use fgdsm_tempest::{Access, Cluster, CostModel, HomePolicy, SegmentLayout};
 
 /// Outcome of a conformance sweep (see [`replay_on_dsm`] for one run).
@@ -39,7 +39,7 @@ fn build_dsm(cfg: &ModelConfig, wire: bool, inject: Option<Injection>) -> Dsm {
         kind,
     );
     if wire {
-        d.set_wire(Box::new(ChanTransport::new(cfg.nodes)));
+        d.set_wire(Box::new(Loopback));
     }
     if let Some(inj) = inject {
         d.set_injection(inj);
@@ -55,7 +55,7 @@ fn real_block(d: &Dsm, b: usize) -> usize {
 
 /// Replay `ops` on the abstract model and on a fresh real [`Dsm`]
 /// side by side, then compare final directory, tags, and memory.
-/// `wire` selects the channel-backed strict wire path; `inject` arms
+/// `wire` selects the loopback strict wire path; `inject` arms
 /// real-engine fault injections (the model always runs clean, so an
 /// armed injection is expected to *diverge* — callers assert `Err`).
 pub fn replay_on_dsm(

@@ -21,7 +21,7 @@
 //!    the space of contract-legal interleavings.
 //! 3. **Conformance replay.** [`conformance`] replays enumerated op
 //!    sequences through the real `Dsm` — both the in-process fast path
-//!    and the channel-backed wire path — and asserts final directory,
+//!    and the loopback wire path — and asserts final directory,
 //!    tag, and memory agreement, block by block.
 //!
 //! The checker ([`checker`]) is a canonicalized-state BFS: the first

@@ -1,5 +1,5 @@
 //! Conformance: enumerated model sequences replayed through the real
-//! `Dsm` — the in-process fast path and the channel-backed wire path —
+//! `Dsm` — the in-process fast path and the loopback wire path —
 //! must land on the same directory entries, tags, and memory contents
 //! as the abstract model. With a real engine injection armed, the same
 //! replays must *diverge* (the injections are bugs the model catches).
@@ -30,7 +30,7 @@ fn eager_sequences_conform_on_the_fast_path() {
 }
 
 #[test]
-fn eager_sequences_conform_on_the_chan_wire_path() {
+fn eager_sequences_conform_on_the_loopback_wire_path() {
     let cfg = ModelConfig::small(Proto::Eager).with_depth(4);
     let seqs = enumerate_sequences(&cfg, 4, true, 50_000);
     let picked = sample(&seqs, 100);

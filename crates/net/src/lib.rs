@@ -587,10 +587,6 @@ fn kill_children(children: &mut [Option<Child>]) {
 }
 
 impl WireTransport for SocketTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
     fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
         if frames.is_empty() {
             return Ok(frames);

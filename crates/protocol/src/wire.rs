@@ -34,8 +34,6 @@
 //! were not built for (no silent best-effort parsing). The golden-bytes
 //! test below pins the v1 layout against accidental breaks.
 
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// First two bytes of every frame.
@@ -51,10 +49,10 @@ pub const CTRL_MAGIC: u16 = 0xFD58;
 /// lying-length guard.
 pub const MAX_FRAME_BYTES: u64 = 1 << 26;
 
-/// Per-recv deadline for the blocking transports (`chan` worker replies,
-/// socket reads): `FGDSM_NET_TIMEOUT_MS`, default 5000 ms. A peer that
-/// stays silent past this long is reported as [`WireError::Timeout`]
-/// instead of hanging the run.
+/// Per-recv deadline for the socket transport's blocking reads:
+/// `FGDSM_NET_TIMEOUT_MS`, default 5000 ms. A peer that stays silent
+/// past this long is reported as [`WireError::Timeout`] instead of
+/// hanging the run.
 pub fn net_timeout() -> Duration {
     let ms = std::env::var("FGDSM_NET_TIMEOUT_MS")
         .ok()
@@ -182,8 +180,8 @@ pub enum WireError {
     CountMismatch(&'static str),
     /// Bytes left over after the payload — the frame lies about itself.
     TrailingBytes(usize),
-    /// The peer node is gone: its channel hung up, its process exited, or
-    /// the connection was closed (EOF) mid-conversation.
+    /// The peer node is gone: its process exited, or the connection was
+    /// closed (EOF) mid-conversation.
     PeerGone(u32),
     /// The peer stayed silent past the configured recv deadline
     /// ([`net_timeout`]).
@@ -802,7 +800,6 @@ pub fn reconcile_stats(
 /// must deliver each batch in order and return exactly the frames that
 /// arrived; they never interpret payloads (the apply stage decodes).
 pub trait WireTransport {
-    fn name(&self) -> &'static str;
     /// Route a batch of encoded frames to `dst`, returning the frames
     /// as delivered (same order). `Err` is a transport-level failure —
     /// the peer died ([`WireError::PeerGone`]) or went silent past the
@@ -824,152 +821,8 @@ pub trait WireTransport {
 pub struct Loopback;
 
 impl WireTransport for Loopback {
-    fn name(&self) -> &'static str {
-        "loopback"
-    }
     fn route(&mut self, _dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
         Ok(frames)
-    }
-}
-
-/// The `chan` backend's transport: one worker thread per node, linked
-/// by `std::sync::mpsc` channels. Workers share *no* shard memory —
-/// each receives owned byte buffers, reconstructs every envelope from
-/// bytes alone (`from_bytes`), re-encodes it into a fresh buffer and
-/// sends the bytes back. Every transfer therefore round-trips through
-/// the wire format across a real thread boundary twice; a frame the
-/// decoder rejects is reported back and fails the run loudly.
-pub struct ChanTransport {
-    to_node: Vec<Option<Sender<Cmd>>>,
-    from_node: Vec<Receiver<Result<Vec<Vec<u8>>, String>>>,
-    workers: Vec<JoinHandle<()>>,
-    timeout: Duration,
-}
-
-/// What a chan worker can be asked to do. `Wedge` is a test hook: the
-/// worker sleeps through its next turn, so the coordinator's deadline
-/// logic can be exercised without a real stuck peer.
-enum Cmd {
-    Batch(Vec<Vec<u8>>),
-    Wedge(Duration),
-}
-
-impl ChanTransport {
-    pub fn new(nprocs: usize) -> Self {
-        Self::with_timeout(nprocs, net_timeout())
-    }
-
-    /// Like [`ChanTransport::new`] with an explicit per-recv deadline.
-    pub fn with_timeout(nprocs: usize, timeout: Duration) -> Self {
-        let mut to_node = Vec::with_capacity(nprocs);
-        let mut from_node = Vec::with_capacity(nprocs);
-        let mut workers = Vec::with_capacity(nprocs);
-        for node in 0..nprocs {
-            let (tx_in, rx_in) = channel::<Cmd>();
-            let (tx_out, rx_out) = channel::<Result<Vec<Vec<u8>>, String>>();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("fgdsm-chan-{node}"))
-                    .spawn(move || {
-                        while let Ok(cmd) = rx_in.recv() {
-                            let frames = match cmd {
-                                Cmd::Wedge(d) => {
-                                    std::thread::sleep(d);
-                                    continue;
-                                }
-                                Cmd::Batch(frames) => frames,
-                            };
-                            let mut out = Vec::with_capacity(frames.len());
-                            let mut err = None;
-                            for f in &frames {
-                                match WireMsg::from_bytes(f) {
-                                    Ok(msg) => out.push(msg.to_bytes()),
-                                    Err(e) => {
-                                        err = Some(format!("node {node}: {e}"));
-                                        break;
-                                    }
-                                }
-                            }
-                            let reply = match err {
-                                None => Ok(out),
-                                Some(e) => Err(e),
-                            };
-                            if tx_out.send(reply).is_err() {
-                                return;
-                            }
-                        }
-                    })
-                    .expect("spawn chan worker"),
-            );
-            to_node.push(Some(tx_in));
-            from_node.push(rx_out);
-        }
-        ChanTransport {
-            to_node,
-            from_node,
-            workers,
-            timeout,
-        }
-    }
-
-    /// Test hook: hang up on `node`'s worker, as if the peer process
-    /// died. The next route to it reports [`WireError::PeerGone`].
-    pub fn kill_worker(&mut self, node: usize) {
-        self.to_node[node] = None;
-    }
-
-    /// Test hook: make `node`'s worker sleep through its next turn, so
-    /// a route against a short deadline reports [`WireError::Timeout`].
-    pub fn wedge_worker(&mut self, node: usize, dur: Duration) {
-        if let Some(tx) = self.to_node[node].as_ref() {
-            let _ = tx.send(Cmd::Wedge(dur));
-        }
-    }
-
-    /// Tear down the worker threads. The drop-order contract that keeps
-    /// this deadlock-free: the senders are cleared *before* any join, so
-    /// every worker's `rx_in.recv()` returns `Err` (all senders gone)
-    /// and the thread exits its loop — even when this runs during a
-    /// panic unwind with requests still undrained. Joining first would
-    /// deadlock: a worker parked in `recv()` never wakes while a sender
-    /// is still alive in `self.to_node`.
-    ///
-    /// Idempotent (both vectors are drained), so an explicit call
-    /// followed by `Drop` is fine.
-    pub fn shutdown(&mut self) {
-        self.to_node.clear();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl WireTransport for ChanTransport {
-    fn name(&self) -> &'static str {
-        "chan"
-    }
-    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        if frames.is_empty() {
-            return Ok(frames);
-        }
-        let Some(tx) = self.to_node.get(dst).and_then(Option::as_ref) else {
-            return Err(WireError::PeerGone(dst as u32));
-        };
-        if tx.send(Cmd::Batch(frames)).is_err() {
-            return Err(WireError::PeerGone(dst as u32));
-        }
-        match self.from_node[dst].recv_timeout(self.timeout) {
-            Ok(Ok(frames)) => Ok(frames),
-            Ok(Err(e)) => panic!("wire: envelope decode failed in transit: {e}"),
-            Err(RecvTimeoutError::Timeout) => Err(WireError::Timeout(dst as u32)),
-            Err(RecvTimeoutError::Disconnected) => Err(WireError::PeerGone(dst as u32)),
-        }
-    }
-}
-
-impl Drop for ChanTransport {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -1109,50 +962,6 @@ mod tests {
             words: vec![1, 2, 3],
         };
         assert_eq!(diff.payload_bytes() as usize, diff_bytes(0b1101));
-    }
-
-    #[test]
-    fn chan_transport_round_trips_and_rejects() {
-        let mut t = ChanTransport::new(2);
-        let frames = vec![push_msg().to_bytes()];
-        let back = t.route(1, frames.clone()).unwrap();
-        assert_eq!(back, frames, "decode + re-encode is the identity");
-        assert!(t.route(0, Vec::new()).unwrap().is_empty());
-        let corrupt = vec![vec![0u8; 4]];
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.route(0, corrupt)));
-        assert!(r.is_err(), "corrupt frame must fail the route loudly");
-    }
-
-    /// The satellite fix: a disconnected peer is a typed `PeerGone`
-    /// (with the peer id), a silent one a typed `Timeout` — never a
-    /// forever-blocking recv.
-    #[test]
-    fn dead_or_silent_peers_yield_typed_errors_within_the_deadline() {
-        let mut t = ChanTransport::with_timeout(3, Duration::from_millis(200));
-        let frames = vec![push_msg().to_bytes()];
-
-        t.kill_worker(1);
-        let start = std::time::Instant::now();
-        assert_eq!(
-            t.route(1, frames.clone()),
-            Err(WireError::PeerGone(1)),
-            "route to a dead peer must fail typed, not hang"
-        );
-        assert!(start.elapsed() < Duration::from_secs(5));
-
-        t.wedge_worker(2, Duration::from_secs(2));
-        let start = std::time::Instant::now();
-        assert_eq!(
-            t.route(2, frames),
-            Err(WireError::Timeout(2)),
-            "route to a wedged peer must time out typed"
-        );
-        let waited = start.elapsed();
-        assert!(
-            waited >= Duration::from_millis(200) && waited < Duration::from_secs(5),
-            "timeout must honor the configured deadline, waited {waited:?}"
-        );
-        t.shutdown();
     }
 
     #[test]
@@ -1310,8 +1119,5 @@ mod tests {
     #[test]
     fn transport_finish_defaults_to_no_remote_reports() {
         assert!(Loopback.finish().is_empty());
-        let mut t = ChanTransport::new(2);
-        assert!(t.finish().is_empty());
-        t.shutdown();
     }
 }

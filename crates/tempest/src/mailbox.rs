@@ -3,8 +3,8 @@
 //! [`Mailbox`] is the staging area the wire-format refactor splits out
 //! of the old monolithic plan/apply path: planning *posts* encoded byte
 //! frames addressed to a destination node, a transport *routes* each
-//! destination's inbox (in-process loopback, channel-backed worker
-//! threads, or — next — a real socket), and apply *consumes* the routed
+//! destination's inbox (in-process loopback, or a real socket to a
+//! node process), and apply *consumes* the routed
 //! frames in posting order. The mailbox itself never interprets frame
 //! contents; it only guarantees per-destination FIFO order and recycles
 //! frame buffers through a [`VecPool`] so steady-state supersteps

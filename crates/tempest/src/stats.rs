@@ -183,8 +183,8 @@ pub struct ClusterReport {
     pub wall_ns: u64,
     /// Host time spent inside the wire transport's `route` calls, in ns
     /// (0 on the zero-copy fast path). Like [`ClusterReport::wall_ns`]
-    /// this is *real* time — it measures the installed transport (channel
-    /// hop, socket round-trip), varies run to run, and is deliberately
+    /// this is *real* time — it measures the installed transport (loopback
+    /// hand-off, socket round-trip), varies run to run, and is deliberately
     /// excluded from the canonical [`ClusterReport::to_json`] encoding so
     /// socket-backed and in-process runs stay byte-identical.
     pub wire_route_ns: u64,
