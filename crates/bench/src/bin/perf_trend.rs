@@ -9,7 +9,8 @@
 //! (override the path with `FGDSM_TREND_OUT`): the git stamp, median
 //! host wall time over
 //! `FGDSM_TREND_RUNS` runs (default 3), the on-wire payload volume, and
-//! the p99 of the coordinator's wall-clock route histograms. It then
+//! the p99 of the coordinator's per-batch wall-clock route histogram
+//! (`coord.route.batch`, one sample per socket batch). It then
 //! renders a PR-over-PR delta table comparing the newest git stamp
 //! against the previous one in the file.
 //!
@@ -25,7 +26,6 @@ use fgdsm_bench::host_perf::{git_describe, refuse_dirty_tree};
 use fgdsm_bench::json::{self, ToJson, Value};
 use fgdsm_bench::{json_row, scale, scale_label};
 use fgdsm_hpf::{execute, ExecConfig};
-use fgdsm_tempest::Histogram;
 use fgdsm_testkit::Stopwatch;
 
 const NPROCS: usize = 8;
@@ -194,16 +194,11 @@ fn measure(git: &str, runs: usize) -> Vec<TrendRow> {
         let run = last.unwrap();
         samples.sort_unstable();
         let reg = run.metrics().expect("metered run has a registry");
-        // One merged coordinator route histogram across all message
-        // classes — the p99 a PR must not silently regress.
-        let mut route = Histogram::new();
-        for (k, m) in reg.iter() {
-            if k.starts_with("coord.route.") {
-                if let Some(h) = m.as_hist() {
-                    route.merge(h);
-                }
-            }
-        }
+        // The coordinator's per-batch route histogram — the p99 a PR
+        // must not silently regress (0 when nothing was routed).
+        let route_p99_ns = reg
+            .hist("coord.route.batch")
+            .map_or(0, |h| h.percentile(0.99));
         rows.push(TrendRow {
             git: git.to_string(),
             app: spec.name.to_string(),
@@ -211,7 +206,7 @@ fn measure(git: &str, runs: usize) -> Vec<TrendRow> {
             scale: factor,
             wall_ns: samples[samples.len() / 2],
             wire_payload_bytes: run.wire_payload_bytes,
-            route_p99_ns: route.percentile(0.99),
+            route_p99_ns,
         });
     }
     rows

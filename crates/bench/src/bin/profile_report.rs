@@ -51,90 +51,92 @@ json_row! {
 json_row! {
     struct CalRow {
         app: &'static str,
-        class: &'static str,
+        batches: u64,
         frames: u64,
-        payload_bytes: u64,
-        predicted_roundtrip_ns: u64,
+        batch_bytes: u64,
+        table1_alpha_ns: u64,
+        table1_beta_ns_per_byte: u64,
+        fit_alpha_ns: f64,
+        fit_beta_ns_per_byte: f64,
         measured_p50_ns: u64,
-        measured_p90_ns: u64,
         measured_p99_ns: u64,
         measured_mean_ns: u64,
     }
 }
 
-/// Calibration: join the Table-1 cost model's predicted round-trip time
-/// against the measured wall-clock `route.<class>` histograms of a
-/// metered `tcp` run, one row per exercised `WireMsg` class. Predicted
-/// is the simulated network's round-trip for this class's *mean* frame
-/// payload; measured is loopback-socket host time — the table makes the
-/// constant factor between the two worlds explicit per message class.
-fn calibration_rows(app: &'static str, run: &RunResult) -> Vec<CalRow> {
+/// Calibration: fit the paper's message cost form `α + β·bytes` by least
+/// squares over a metered `tcp` run's socket batches, and set it next to
+/// Table 1's (the cost model's short-message round trip and per-byte
+/// cost, 40 µs and 20 MB/s), one row per app. The batch percentiles come
+/// from the coordinator's `route.batch` histogram, which samples each
+/// batch exactly once — the row would be meaningless if it sampled a
+/// batch once per frame.
+fn calibration_row(app: &'static str, run: &RunResult) -> CalRow {
     let reg = run
         .metrics()
         .unwrap_or_else(|| panic!("{app}/tcp: calibration needs a metered run"));
-    let cost = fgdsm_tempest::CostModel::paper_dual_cpu();
-    let mut rows = Vec::new();
-    for kind in 0u8..=4 {
-        let class = fgdsm_tempest::metrics::class_name(kind);
-        let frames = reg.counter(&format!("coord.frames.{class}"));
-        if frames == 0 {
-            continue;
-        }
-        let payload = reg.counter(&format!("coord.payload_bytes.{class}"));
-        let h = reg
-            .hist(&format!("coord.route.{class}"))
-            .unwrap_or_else(|| panic!("{app}/tcp: {frames} {class} frames but no route histogram"));
-        assert_eq!(
-            h.count(),
-            frames,
-            "{app}/tcp: route.{class} histogram must have one sample per frame"
-        );
-        rows.push(CalRow {
-            app,
-            class,
-            frames,
-            payload_bytes: payload,
-            predicted_roundtrip_ns: cost.roundtrip_ns((payload / frames) as usize),
-            measured_p50_ns: h.percentile(0.50),
-            measured_p90_ns: h.percentile(0.90),
-            measured_p99_ns: h.percentile(0.99),
-            measured_mean_ns: h.sum() / h.count(),
-        });
-    }
-    assert!(
-        !rows.is_empty(),
-        "{app}/tcp: no WireMsg class was exercised — calibration would be empty"
+    let h = reg
+        .hist("coord.route.batch")
+        .unwrap_or_else(|| panic!("{app}/tcp: frames were routed but no route.batch histogram"));
+    let spans = &run.wire_spans;
+    assert_eq!(
+        h.count(),
+        spans.len() as u64,
+        "{app}/tcp: route.batch must have one sample per batch"
     );
-    rows
+    let span_frames: u64 = spans.iter().map(|s| u64::from(s.frames)).sum();
+    assert_eq!(
+        span_frames, run.wire_frames,
+        "{app}/tcp: the batches must carry every routed frame"
+    );
+    let cost = fgdsm_tempest::CostModel::paper_dual_cpu();
+    let (alpha, beta) = fgdsm_tempest::metrics::fit_cost_form(spans);
+    CalRow {
+        app,
+        batches: h.count(),
+        frames: run.wire_frames,
+        batch_bytes: spans.iter().map(|s| s.bytes).sum(),
+        table1_alpha_ns: cost.roundtrip_ns(0),
+        table1_beta_ns_per_byte: cost.per_byte_ns,
+        fit_alpha_ns: alpha,
+        fit_beta_ns_per_byte: beta,
+        measured_p50_ns: h.percentile(0.50),
+        measured_p99_ns: h.percentile(0.99),
+        measured_mean_ns: h.sum() / h.count().max(1),
+    }
 }
 
-/// Render the per-class calibration table.
+/// Render the per-app calibration table.
 fn calibration_table(rows: &[CalRow]) {
-    println!("calibration — Table 1 predicted round-trip vs measured route histograms (tcp)");
     println!(
-        "{:<10} {:<8} {:>8} {:>11} {:>13} {:>11} {:>11} {:>11} {:>11}",
+        "calibration — Table 1 cost form vs alpha + beta*bytes fitted over socket batches (tcp)"
+    );
+    println!(
+        "{:<10} {:>8} {:>8} {:>11} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "app",
-        "class",
+        "batches",
         "frames",
-        "payload_B",
-        "predicted_ns",
+        "bytes",
+        "t1_alpha",
+        "t1_beta",
+        "fit_alpha",
+        "fit_beta",
         "p50_ns",
-        "p90_ns",
-        "p99_ns",
-        "mean_ns"
+        "p99_ns"
     );
     for r in rows {
         println!(
-            "{:<10} {:<8} {:>8} {:>11} {:>13} {:>11} {:>11} {:>11} {:>11}",
+            "{:<10} {:>8} {:>8} {:>11} {:>10} {:>10} {:>10.0} {:>10.2} {:>10} {:>10}",
             r.app,
-            r.class,
+            r.batches,
             r.frames,
-            r.payload_bytes,
-            r.predicted_roundtrip_ns,
+            r.batch_bytes,
+            r.table1_alpha_ns,
+            r.table1_beta_ns_per_byte,
+            r.fit_alpha_ns,
+            r.fit_beta_ns_per_byte,
             r.measured_p50_ns,
-            r.measured_p90_ns,
             r.measured_p99_ns,
-            r.measured_mean_ns,
         );
     }
 }
@@ -487,7 +489,7 @@ fn main() {
                         }
                     }
                 }
-                calibration.extend(calibration_rows(spec.name, &run));
+                calibration.push(calibration_row(spec.name, &run));
             }
         }
         println!();

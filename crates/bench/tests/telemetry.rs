@@ -90,8 +90,8 @@ fn tcp_telemetry_populates_both_sides_and_merges_cleanly() {
             execute_profiled(&spec.program, &ExecConfig::tcp(NPROCS).metered());
         let reg = run.metrics().expect("metered tcp run has a registry");
 
-        // Coordinator side: for every exercised class the full pipeline
-        // is histogrammed, one route sample per frame.
+        // Coordinator side: for every exercised class the per-frame
+        // stages are histogrammed, one sample per frame.
         let mut exercised = 0u64;
         for kind in 0u8..=4 {
             let class = fgdsm_tempest::metrics::class_name(kind);
@@ -100,7 +100,7 @@ fn tcp_telemetry_populates_both_sides_and_merges_cleanly() {
                 continue;
             }
             exercised += frames;
-            for stage in ["encode", "route", "decode"] {
+            for stage in ["encode", "decode", "apply"] {
                 let h = reg
                     .hist(&format!("coord.{stage}.{class}"))
                     .unwrap_or_else(|| panic!("{}: no coord.{stage}.{class} histogram", spec.name));
@@ -115,6 +115,23 @@ fn tcp_telemetry_populates_both_sides_and_merges_cleanly() {
         assert_eq!(
             exercised, run.wire_frames,
             "{}: per-class frame counters must cover every routed frame",
+            spec.name
+        );
+        // Routing is booked per batch: one `route.batch` sample per
+        // wire span, and the spans together carry every frame.
+        let batches = reg
+            .hist("coord.route.batch")
+            .unwrap_or_else(|| panic!("{}: no coord.route.batch histogram", spec.name));
+        assert_eq!(
+            batches.count(),
+            run.wire_spans.len() as u64,
+            "{}: coord.route.batch must sample every batch once",
+            spec.name
+        );
+        let span_frames: u64 = run.wire_spans.iter().map(|s| u64::from(s.frames)).sum();
+        assert_eq!(
+            span_frames, run.wire_frames,
+            "{}: the batch spans must carry every routed frame",
             spec.name
         );
 

@@ -14,16 +14,19 @@
 //!   data the envelope carries, and reductions are noted but never
 //!   enveloped);
 //! * the zero-copy fast path routes *nothing* through the wire layer, so
-//!   the counters prove which path ran.
+//!   the counters prove which path ran;
+//! * fault-path transfers are coalesced: posted frames travel in one
+//!   wave per flush, at most one batch per destination, not one round
+//!   trip per block.
 //!
 //! That strict runs stay byte-identical to the fast path in every
 //! canonical artifact is pinned by the determinism suite
 //! (`strict_wire_matches_fast_path`).
 
-use fgdsm_apps::{suite, Scale};
+use fgdsm_apps::{extended_suite, suite, Scale};
 use fgdsm_bench::NPROCS;
 use fgdsm_hpf::{execute, ExecConfig};
-use fgdsm_tempest::NodeStats;
+use fgdsm_tempest::{NodeStats, NO_STEP};
 
 /// Sum the per-node stats of one run into a whole-cluster view.
 fn cluster_totals(run: &fgdsm_hpf::RunResult) -> NodeStats {
@@ -103,5 +106,50 @@ fn fast_path_routes_no_frames() {
                 spec.name
             );
         }
+    }
+}
+
+/// Coalescing bound: a serial strict run of the fault-heavy `irreg` and
+/// the push-heavy `pde` routes at most two waves' worth of batches per
+/// superstep — the flushes at the end of resolve and at the end of the
+/// loop, one batch per remote destination — where routing each block on
+/// its own took one batch per frame. Bench scale: at test scale the
+/// arrays are smaller than a page, so most of their blocks share one
+/// home and reads through it take 4-hop hazard flushes instead.
+#[test]
+fn strict_fault_traffic_is_coalesced_per_destination() {
+    for spec in extended_suite(Scale::Bench) {
+        if !matches!(spec.name, "irreg" | "pde") {
+            continue;
+        }
+        let run = execute(
+            &spec.program,
+            &ExecConfig::sm_opt(NPROCS).strict().serial().metered(),
+        );
+        let supersteps = run
+            .report
+            .intervals
+            .iter()
+            .filter(|i| i.step != NO_STEP)
+            .count();
+        let batches = run.wire_spans.len();
+        let bound = 2 * supersteps * (NPROCS - 1);
+        assert!(
+            batches <= bound,
+            "{}: {batches} batches for {} frames over {supersteps} supersteps \
+             exceeds 2 x supersteps x (nprocs - 1) = {bound}",
+            spec.name,
+            run.wire_frames
+        );
+        assert!(
+            (batches as u64) < run.wire_frames,
+            "{}: {batches} batches for {} frames — nothing was coalesced",
+            spec.name,
+            run.wire_frames
+        );
+        eprintln!(
+            "{}: {batches} batches, {} frames, {supersteps} supersteps",
+            spec.name, run.wire_frames
+        );
     }
 }

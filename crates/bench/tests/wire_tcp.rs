@@ -19,7 +19,7 @@ use fgdsm_bench::NPROCS;
 use fgdsm_hpf::{execute, tcp_available, ExecConfig};
 use fgdsm_net::{NetGeometry, SocketOpts, SocketTransport};
 use fgdsm_protocol::wire::WireHeader;
-use fgdsm_protocol::{WireMsg, WireTransport};
+use fgdsm_protocol::{Batch, WireMsg, WireTransport};
 
 /// The tcp backend must route every transfer through the sockets, the
 /// envelope accounting must reconcile with the simulator's byte charges,
@@ -124,15 +124,25 @@ fn remote_bye_stats_reconcile_with_coordinator_counts() {
         ]
     };
     let (mut sent_frames, mut sent_payload) = (0u64, 0u64);
-    // Two batches per node so the per-node serve loop iterates.
+    // Two waves, each with one batch per node 1..n, so the per-node
+    // serve loop iterates and every wave has replies in flight.
     for _ in 0..2 {
+        let mut wave = Vec::new();
         for dst in 1..geom.nprocs {
             let msgs = msgs_for(dst);
             let frames: Vec<Vec<u8>> = msgs.iter().map(|m| m.to_bytes()).collect();
             sent_frames += frames.len() as u64;
             sent_payload += msgs.iter().map(|m| m.payload_bytes()).sum::<u64>();
-            let back = t.route(dst, frames.clone()).expect("clean route");
-            assert_eq!(back, frames, "apply + re-encode must be the identity");
+            wave.push(Batch {
+                dst,
+                frames,
+                busy_ns: 0,
+            });
+        }
+        let sent: Vec<Vec<Vec<u8>>> = wave.iter().map(|b| b.frames.clone()).collect();
+        t.route_wave(&mut wave).expect("clean route");
+        for (b, want) in wave.iter().zip(sent) {
+            assert_eq!(b.frames, want, "apply + re-encode must be the identity");
         }
     }
     t.shutdown();

@@ -449,6 +449,7 @@ impl FuzzSpec {
             "            undercount_metrics: {},",
             i.undercount_metrics
         );
+        let _ = writeln!(s, "            skip_hazard_flush: {},", i.skip_hazard_flush);
         let _ = writeln!(s, "            tcp_node_fault: {:?},", i.tcp_node_fault);
         let _ = writeln!(s, "        }},");
         let _ = writeln!(s, "    }};");

@@ -53,11 +53,15 @@ pub enum Fault {
     /// coordinator and worker registries == the wire's payload total)
     /// can catch it.
     UndercountMetrics,
+    /// The first hazard flush of strict wire mode skipped: one read of a
+    /// block whose deferred landing is still pending sees stale
+    /// contents.
+    SkipHazardFlush,
 }
 
 impl Fault {
     /// Every fault, in declaration order.
-    pub const ALL: [Fault; 8] = [
+    pub const ALL: [Fault; 9] = [
         Fault::SkewSendRange,
         Fault::SkipFlushRange,
         Fault::ReorderPlanApply,
@@ -66,6 +70,7 @@ impl Fault {
         Fault::CorruptFrameLen,
         Fault::StaleOwnerPush,
         Fault::UndercountMetrics,
+        Fault::SkipHazardFlush,
     ];
 
     /// Stable display name (matches the `InjectConfig` field).
@@ -79,6 +84,7 @@ impl Fault {
             Fault::CorruptFrameLen => "corrupt_frame_len",
             Fault::StaleOwnerPush => "stale_owner_push",
             Fault::UndercountMetrics => "undercount_metrics",
+            Fault::SkipHazardFlush => "skip_hazard_flush",
         }
     }
 
@@ -93,6 +99,7 @@ impl Fault {
             Fault::CorruptFrameLen => inject.corrupt_frame_len = true,
             Fault::StaleOwnerPush => inject.stale_owner_push = true,
             Fault::UndercountMetrics => inject.undercount_metrics = true,
+            Fault::SkipHazardFlush => inject.skip_hazard_flush = true,
         }
     }
 
@@ -106,11 +113,14 @@ impl Fault {
             // `UndercountMetrics` never changes data movement, so the
             // model has nothing to observe; the engine oracle's
             // metrics-conservation invariant is its only detector.
+            // `SkipHazardFlush` breaks deferred landing, a strict-wire
+            // mechanism below the model's level of abstraction.
             Fault::ReorderPlanApply
             | Fault::MisfoldPool
             | Fault::CorruptEnvelope
             | Fault::CorruptFrameLen
-            | Fault::UndercountMetrics => Detector::Engine,
+            | Fault::UndercountMetrics
+            | Fault::SkipHazardFlush => Detector::Engine,
             // Engine layouts keep owner == home for pushed ranges, so the
             // symptom needs the model's 3-node third-party-home states.
             Fault::StaleOwnerPush => Detector::Model,

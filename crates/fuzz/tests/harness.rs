@@ -33,6 +33,7 @@ fn tolerated_perturbations_are_invisible() {
             corrupt_envelope: false,
             corrupt_frame_len: false,
             undercount_metrics: false,
+            skip_hazard_flush: false,
             tcp_node_fault: None,
         };
         if let Err(d) = check_spec(&spec) {
@@ -253,6 +254,70 @@ fn must_catch_undercounted_metrics() {
     );
 }
 
+/// Four nodes write a 2-D array under a *cyclic* distribution while
+/// reading a block-distributed 1-D array: cache blocks straddle columns
+/// of different writers, so each writer joins a `Multi` block by
+/// fetching the merge base from the home and then snapshotting its twin
+/// of that very block. In strict wire mode the fetch is still a pending
+/// landing when the twin is taken — a hazard the rule must flush. The
+/// injection skips that flush once: the twin snapshots stale contents,
+/// the diff ships the wrong words, and the merged result diverges.
+fn hazard_victim() -> FuzzSpec {
+    FuzzSpec {
+        seed: 0,
+        nprocs: 4,
+        n1: 63,
+        n2: [32, 6],
+        arrays: vec![
+            ArraySpec {
+                rank2: false,
+                cyclic: false,
+                index_for: None,
+            },
+            ArraySpec {
+                rank2: true,
+                cyclic: true,
+                index_for: None,
+            },
+        ],
+        body: vec![FStmt::Loop(LoopSpec {
+            write: 1,
+            dist_by: None,
+            self_read: false,
+            reads: vec![ReadSpec {
+                array: 0,
+                off: [1, 0],
+                via: None,
+            }],
+            reduce: None,
+            use_t: false,
+            use_acc: false,
+        })],
+        time: None,
+        inject: InjectConfig {
+            skip_hazard_flush: true,
+            ..InjectConfig::default()
+        },
+    }
+}
+
+/// Skipping one hazard flush must make a strict-wire config diverge —
+/// only envelope paths defer landings, so only they can observe it.
+#[test]
+fn must_catch_skipped_hazard_flush() {
+    let spec = hazard_victim();
+    check_spec(&FuzzSpec {
+        inject: InjectConfig::default(),
+        ..spec.clone()
+    })
+    .expect("the victim agrees everywhere without the injection");
+    let d = check_spec(&spec).expect_err("a skipped hazard flush must be detected");
+    assert!(
+        d.config.contains("wire-strict"),
+        "only deferred landings can observe the skip, diverged at {d}"
+    );
+}
+
 /// A block-distributed 2-D array written under a *cyclic* partition
 /// (`dist_by`): every superstep performs non-owner writes that the
 /// optimized backend must flush home with `flush_range` — which the
@@ -318,6 +383,7 @@ fn must_catch_every_engine_fault_in_taxonomy() {
                     | Fault::CorruptEnvelope
                     | Fault::CorruptFrameLen
                     | Fault::UndercountMetrics => skew_victim(),
+                    Fault::SkipHazardFlush => hazard_victim(),
                     Fault::SkipFlushRange => flush_victim(),
                     Fault::ReorderPlanApply | Fault::MisfoldPool => reorder_victim(),
                     Fault::StaleOwnerPush => unreachable!("model-level fault"),

@@ -159,6 +159,7 @@ impl<'p> EngineCore<'p> {
             misfold_pool: cfg.inject.misfold_pool,
             corrupt_envelope: cfg.inject.corrupt_envelope,
             undercount_metrics: cfg.inject.undercount_metrics,
+            skip_hazard_flush: cfg.inject.skip_hazard_flush,
         });
         #[cfg(not(feature = "fault-inject"))]
         assert!(
@@ -168,7 +169,8 @@ impl<'p> EngineCore<'p> {
                 && !cfg.inject.reorder_plan_apply
                 && !cfg.inject.misfold_pool
                 && !cfg.inject.corrupt_envelope
-                && !cfg.inject.undercount_metrics,
+                && !cfg.inject.undercount_metrics
+                && !cfg.inject.skip_hazard_flush,
             "protocol-level fault injection requires the `fault-inject` feature"
         );
         // Strict wire mode: the tcp backend always routes envelopes
@@ -402,19 +404,31 @@ impl<'p> EngineCore<'p> {
 
     /// Inspector for indirect references (`x(idx(i))`): enumerate the
     /// element offsets node `p` will gather, by reading its (owned,
-    /// current) copy of the index array. Supports the common 1-D gather.
-    pub fn inspect_indirect(&self, p: usize, r: &crate::ir::ARef, iter: &[Range]) -> Vec<usize> {
+    /// current) copy of the index array — settled first, so a pending
+    /// strict-wire landing on it is not overtaken. Supports the common
+    /// 1-D gather.
+    pub fn inspect_indirect(
+        &mut self,
+        p: usize,
+        r: &crate::ir::ARef,
+        iter: &[Range],
+    ) -> Vec<usize> {
         use crate::ir::Subscript;
         let [Subscript::Indirect(idx_aid, c)] = r.subs.as_slice() else {
             panic!("indirect references must be 1-D gathers x(idx(i))");
         };
-        let idx_meta = &self.metas[idx_aid.0];
+        let idx_base = self.metas[idx_aid.0].base;
+        if let Some(last) = iter[0].last() {
+            let first = idx_base + (iter[0].lo + c) as usize;
+            self.dsm
+                .wire_settle(p, first, idx_base + (last + c) as usize + 1 - first);
+        }
         let target = &self.metas[r.array.0];
         let extent = self.prog.array(r.array).len() as i64;
         let mem = self.dsm.cluster.node_mem(p);
         let mut out = Vec::with_capacity(iter[0].count() as usize);
         for i in iter[0].iter() {
-            let v = mem[idx_meta.base + (i + c) as usize];
+            let v = mem[idx_base + (i + c) as usize];
             let j = v as i64;
             assert!(
                 (0..extent).contains(&j),
@@ -487,6 +501,7 @@ pub(super) fn run(
     exec_stmts(&mut core, backend.as_mut(), &body);
     // Final synchronization so the report reflects a completed program.
     backend.finish(&mut core);
+    core.dsm.wire_flush();
     let data = backend.gather(&mut core);
     let (pre_skipped, pre_performed) = backend.pre_stats();
     let mut trace = None;
@@ -625,6 +640,9 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
         core.dsm.clear_iw_memo();
     }
     backend.resolve(core, l, acc);
+    // Strict wire mode: every transfer the resolve phase posted lands
+    // before any kernel reads node memory.
+    core.dsm.wire_flush();
 
     // --- Compute phase: zero cross-node access from here to the join. --
     // One padded cache line per node (recycled across supersteps):
@@ -649,6 +667,7 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
     // profiler interval (stamps the superstep boundary into the event
     // trace, snapshots per-node stats, and runs the false-sharing scan).
     backend.post_loop(core, l, acc);
+    core.dsm.wire_flush();
     core.dsm.cluster.end_superstep(step, loop_id);
     core.cur_step = NO_STEP;
     core.cur_loop = NO_LOOP;

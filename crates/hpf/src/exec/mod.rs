@@ -339,6 +339,11 @@ pub struct InjectConfig {
     /// can catch the undercount (needs `fault-inject`, metrics on, and
     /// an envelope path).
     pub undercount_metrics: bool,
+    /// Must-catch: skip the first hazard flush of strict wire mode, so
+    /// one read of a block whose deferred landing is still pending sees
+    /// stale contents — the oracle must catch the divergence, proving the
+    /// hazard rule has teeth (needs `fault-inject` and an envelope path).
+    pub skip_hazard_flush: bool,
 }
 
 impl ExecConfig {

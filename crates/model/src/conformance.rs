@@ -86,6 +86,7 @@ pub fn replay_on_dsm(
         };
         drive(&mut d, &pre, &st, op);
     }
+    d.wire_flush();
     compare(&d, &st, cfg)
 }
 
@@ -104,7 +105,10 @@ fn drive(d: &mut Dsm, pre: &AbsState, post: &AbsState, op: Op) {
                 }
             }
             // Window-holder writes go straight to memory (the §4.2
-            // point: the store itself is an ordinary store).
+            // point: the store itself is an ordinary store). Like a
+            // kernel, the store first lets every posted wire transfer
+            // land (a no-op on the fast path).
+            d.wire_flush();
             let (s, _) = d.cluster.block_words(rb);
             d.cluster.node_mem_mut(p)[s + w] = post.spec[b][w] as f64;
         }

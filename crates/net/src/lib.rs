@@ -21,10 +21,16 @@
 //! Failure semantics: every recv carries a deadline
 //! (`FGDSM_NET_TIMEOUT_MS`, [`fgdsm_protocol::net_timeout`]); a closed
 //! connection is a typed `WireError::PeerGone`, a silent one a typed
-//! `WireError::Timeout` — the coordinator never hangs on a dead or stuck
-//! node. Transient `EINTR`s are retried a bounded number of times. A
-//! frame the node *rejects* (decode failure, oversized length prefix)
+//! `WireError::Timeout`, a reply with the wrong frame count a typed
+//! `WireError::ReplyCount` and a garbled control reply a typed
+//! `WireError::BadControl` — the coordinator never hangs on a dead or
+//! stuck node. Transient `EINTR`s are retried a bounded number of times.
+//! A frame the node *rejects* (decode failure, oversized length prefix)
 //! comes back as a `CtrlMsg::Err` and fails the run loudly.
+//!
+//! Routing is one wave per flush: the coordinator sends every
+//! destination's batch, then reads every reply, so the nodes work
+//! concurrently.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -35,7 +41,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use fgdsm_protocol::wire::{
-    net_timeout, write_frame, CtrlMsg, FrameDecoder, RemoteReport, WireError, WireMsg,
+    net_timeout, write_frame, Batch, CtrlMsg, FrameDecoder, RemoteReport, WireError, WireMsg,
     WireTransport, WIRE_VERSION,
 };
 use fgdsm_tempest::metrics::{self, MetricsRegistry};
@@ -331,6 +337,11 @@ pub enum NodeFault {
     /// Stop replying (coordinator recv deadline fires) after serving
     /// this many batches.
     WedgeAfterBatches(u32),
+    /// After serving this many batches, answer the next one a frame
+    /// short: the reply announces and carries one frame fewer than the
+    /// batch held (the coordinator must return a typed
+    /// [`WireError::ReplyCount`]).
+    ShortReplyAfterBatches(u32),
 }
 
 impl NodeFault {
@@ -338,6 +349,7 @@ impl NodeFault {
         match self {
             NodeFault::ExitAfterBatches(n) => format!("exit:{n}"),
             NodeFault::WedgeAfterBatches(n) => format!("wedge:{n}"),
+            NodeFault::ShortReplyAfterBatches(n) => format!("short:{n}"),
         }
     }
 
@@ -347,6 +359,7 @@ impl NodeFault {
         match kind {
             "exit" => Some(NodeFault::ExitAfterBatches(n)),
             "wedge" => Some(NodeFault::WedgeAfterBatches(n)),
+            "short" => Some(NodeFault::ShortReplyAfterBatches(n)),
             _ => None,
         }
     }
@@ -387,6 +400,9 @@ pub struct SocketTransport {
     links: Vec<Option<Link>>,
     children: Vec<Option<Child>>,
     corrupt_len_pending: bool,
+    /// Telemetry on: time each batch into [`Batch::busy_ns`]. Off, the
+    /// wave reads no clock.
+    metrics: bool,
     /// Sum of the nodes' `ByeStats` collected at orderly teardown.
     remote_frames: u64,
     remote_payload_bytes: u64,
@@ -498,6 +514,7 @@ impl SocketTransport {
             links,
             children,
             corrupt_len_pending: opts.corrupt_frame_len,
+            metrics: opts.metrics,
             remote_frames: 0,
             remote_payload_bytes: 0,
             got_bye_stats: 0,
@@ -586,55 +603,87 @@ fn kill_children(children: &mut [Option<Child>]) {
     }
 }
 
-impl WireTransport for SocketTransport {
-    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        if frames.is_empty() {
-            return Ok(frames);
-        }
-        let peer = dst as u32;
-        let link = self
-            .links
-            .get_mut(dst)
-            .and_then(Option::as_mut)
-            .ok_or(WireError::PeerGone(peer))?;
-        let n = frames.len() as u32;
-        let mut out = Vec::new();
-        write_frame(&mut out, &CtrlMsg::Batch { n }.to_bytes());
-        let first_data_prefix = out.len();
-        for f in &frames {
-            write_frame(&mut out, f);
-        }
-        if self.corrupt_len_pending {
-            // One-shot injection: an oversized length prefix on the first
-            // data frame. The node's framing cap must reject it before
-            // allocating; the run fails loudly via the Err reply below.
-            self.corrupt_len_pending = false;
-            out[first_data_prefix..first_data_prefix + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        }
-        link.send(&out, peer)?;
+/// Read one batch reply of `sent` frames from `dst`: the control frame,
+/// then the re-encoded data frames. A node that rejected the batch
+/// (decode failure) fails the run loudly; a wrong count or a garbled
+/// control frame is a typed error, returned before any data frame is
+/// read.
+fn recv_reply(link: &mut Link, dst: usize, sent: u32) -> Result<Vec<Vec<u8>>, WireError> {
+    let node = dst as u32;
+    let ctrl_frame = link.recv_frame(node)?;
+    let reply = CtrlMsg::from_bytes(&ctrl_frame).map_err(|e| WireError::BadControl {
+        node,
+        detail: e.to_string(),
+    })?;
+    match reply {
+        CtrlMsg::Batch { n } if n == sent => (0..n).map(|_| link.recv_frame(node)).collect(),
+        CtrlMsg::Batch { n } => Err(WireError::ReplyCount { node, sent, got: n }),
+        CtrlMsg::Err { detail } => panic!("wire: envelope decode failed in transit: {detail}"),
+        other => Err(WireError::BadControl {
+            node,
+            detail: format!("unexpected control reply {other:?}"),
+        }),
+    }
+}
 
-        let ctrl_frame = link.recv_frame(peer)?;
-        let reply = match CtrlMsg::from_bytes(&ctrl_frame) {
-            Ok(m) => m,
-            Err(e) => panic!("wire: bad control frame from node {dst}: {e}"),
-        };
-        match reply {
-            CtrlMsg::Batch { n: rn } => {
-                if rn != n {
-                    panic!("wire: node {dst} returned {rn} frames for a batch of {n}");
+impl WireTransport for SocketTransport {
+    /// Send every batch of the wave, then read every reply, in wave
+    /// order: the nodes decode, apply and re-encode concurrently while
+    /// the coordinator is still writing. A node finishes reading its
+    /// whole batch before it writes its reply, so sending everything
+    /// first cannot deadlock. The first failure ends the wave; the
+    /// replies still in flight are left unread, and the run fails.
+    fn route_wave(&mut self, wave: &mut [Batch]) -> Result<(), WireError> {
+        let stopwatch = || self.metrics.then(Instant::now);
+        let lap = |t0: Option<Instant>| t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let mut out = Vec::new();
+        for b in wave.iter_mut() {
+            let t0 = stopwatch();
+            let peer = b.dst as u32;
+            out.clear();
+            write_frame(
+                &mut out,
+                &CtrlMsg::Batch {
+                    n: b.frames.len() as u32,
                 }
-                let mut back = Vec::with_capacity(rn as usize);
-                for _ in 0..rn {
-                    back.push(link.recv_frame(peer)?);
-                }
-                Ok(back)
+                .to_bytes(),
+            );
+            let first_data_prefix = out.len();
+            for f in &b.frames {
+                write_frame(&mut out, f);
             }
-            CtrlMsg::Err { detail } => {
-                self.links[dst] = None;
-                panic!("wire: envelope decode failed in transit: {detail}");
+            if self.corrupt_len_pending && !b.frames.is_empty() {
+                // One-shot injection: an oversized length prefix on the
+                // first data frame. The node's framing cap must reject it
+                // before allocating; the run fails loudly via its Err
+                // reply.
+                self.corrupt_len_pending = false;
+                out[first_data_prefix..first_data_prefix + 4]
+                    .copy_from_slice(&u32::MAX.to_le_bytes());
             }
-            other => panic!("wire: node {dst}: unexpected control reply {other:?}"),
+            let link = self
+                .links
+                .get_mut(b.dst)
+                .and_then(Option::as_mut)
+                .ok_or(WireError::PeerGone(peer))?;
+            link.send(&out, peer)?;
+            b.busy_ns = lap(t0);
         }
+        for b in wave.iter_mut() {
+            let t0 = stopwatch();
+            let link = self.links[b.dst].as_mut().expect("link sent to above");
+            let sent = b.frames.len() as u32;
+            match recv_reply(link, b.dst, sent) {
+                Ok(frames) => b.frames = frames,
+                Err(e) => {
+                    // The link's stream position is lost: retire it.
+                    self.links[b.dst] = None;
+                    return Err(e);
+                }
+            }
+            b.busy_ns += lap(t0);
+        }
+        Ok(())
     }
 
     /// Orderly teardown, then hand the per-node `ByeStats` reports to
@@ -691,42 +740,8 @@ fn find_node_bin() -> Option<PathBuf> {
 /// the envelope describes, growing the store if the geometry undersold
 /// it, and return the word addresses written (in payload order).
 fn apply_msg(mirror: &mut Vec<u64>, msg: &WireMsg, wpb: usize) -> Vec<usize> {
-    let addrs: Vec<usize> = match msg {
-        WireMsg::Push {
-            start_block, words, ..
-        }
-        | WireMsg::Flush {
-            start_block, words, ..
-        } => {
-            let s = *start_block as usize * wpb;
-            (s..s + words.len()).collect()
-        }
-        WireMsg::Copy {
-            start_word, words, ..
-        } => {
-            let s = *start_word as usize;
-            (s..s + words.len()).collect()
-        }
-        WireMsg::Diff { block, mask, .. } => {
-            let s = *block as usize * wpb;
-            (0..64)
-                .filter(|bit| mask & (1u64 << bit) != 0)
-                .map(|bit| s + bit as usize)
-                .collect()
-        }
-        WireMsg::Strided {
-            base,
-            run_len,
-            stride,
-            count,
-            ..
-        } => (0..*count as usize)
-            .flat_map(|i| {
-                let s = *base as usize + i * *stride as usize;
-                s..s + *run_len as usize
-            })
-            .collect(),
-    };
+    let mut addrs = Vec::with_capacity(msg.words().len());
+    msg.scatter(wpb, |a, _| addrs.push(a));
     if let Some(&max) = addrs.iter().max() {
         if max >= mirror.len() {
             mirror.resize(max + 1, 0);
@@ -884,9 +899,17 @@ pub fn serve(node: u32, addr: &str) -> Result<(), String> {
                     }
                     _ => {}
                 }
+                // Simulated lost frame: answer this one batch a frame
+                // short; the coordinator must reject the count.
+                let reply_n = match fault {
+                    Some(NodeFault::ShortReplyAfterBatches(k)) if batches == k + 1 => {
+                        n.saturating_sub(1)
+                    }
+                    _ => n,
+                };
                 let mut reply = Vec::new();
-                write_frame(&mut reply, &CtrlMsg::Batch { n }.to_bytes());
-                for _ in 0..n {
+                write_frame(&mut reply, &CtrlMsg::Batch { n: reply_n }.to_bytes());
+                for i in 0..n {
                     let frame = match link.recv_frame(node) {
                         Ok(f) => f,
                         Err(e @ WireError::FrameTooBig(_)) => {
@@ -913,6 +936,9 @@ pub fn serve(node: u32, addr: &str) -> Result<(), String> {
                     let addrs = apply_msg(&mut mirror, &msg, wpb);
                     if let (Some(reg), Some(t0)) = (reg.as_mut(), t_apply) {
                         reg.record_ns(&format!("apply.{class}"), t0.elapsed().as_nanos() as u64);
+                    }
+                    if i >= reply_n {
+                        continue;
                     }
                     let t_re = reg.as_ref().map(|_| Instant::now());
                     let out = reencode_from_mirror(&mirror, msg, &addrs);
@@ -970,6 +996,7 @@ mod tests {
         for f in [
             NodeFault::ExitAfterBatches(3),
             NodeFault::WedgeAfterBatches(0),
+            NodeFault::ShortReplyAfterBatches(2),
         ] {
             assert_eq!(NodeFault::parse(&f.env_str()), Some(f));
         }

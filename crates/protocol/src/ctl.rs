@@ -211,14 +211,14 @@ struct PlanOutcome {
 /// copies against exactly the two shards the plan names. Everything that
 /// reaches beyond the pair is staged in the returned [`PlanOutcome`].
 ///
-/// In strict wire mode `wire` carries the plan's decoded envelopes (one
-/// per payload, filled by copying out of the source shard at *plan*
-/// time) and the destination stores the envelope payload — the apply no
-/// longer reads the source shard's memory. Accounting is identical
-/// either way, so reports and traces cannot tell the paths apart.
+/// In strict wire mode (`landed`) the plan's payloads were posted as
+/// envelopes at *plan* time and have already landed in the destination
+/// from the decoded frames, so the apply moves no data and never reads
+/// the source shard's memory. Accounting is identical either way, so
+/// reports and traces cannot tell the paths apart.
 fn apply_plan(
     plan: &TransferPlan,
-    wire: Option<&[WireMsg]>,
+    landed: bool,
     cfg: &CostModel,
     src: &mut NodeShard,
     dst: &mut NodeShard,
@@ -228,7 +228,7 @@ fn apply_plan(
         payloads: 0,
         blocks: 0,
     };
-    for (i, p) in plan.payloads.iter().enumerate() {
+    for p in &plan.payloads {
         let (s, _) = src.block_words(p.start_block);
         let (_, e) = src.block_words(p.start_block + p.n_blocks - 1);
         let bytes = (e - s) * 8;
@@ -243,14 +243,7 @@ fn apply_plan(
         );
         src.note_msg_at(bytes, p.start_block);
         dst.note_msg_recv(bytes);
-        if let Some(msgs) = wire {
-            let words = msgs[i].words();
-            debug_assert_eq!(words.len(), e - s, "wire payload vs plan geometry");
-            let mem = dst.mem_mut();
-            for (k, bits) in words.iter().enumerate() {
-                mem[s + k] = f64::from_bits(*bits);
-            }
-        } else {
+        if !landed {
             dst.mem_mut()[s..e].copy_from_slice(&src.mem()[s..e]);
         }
         match plan.op {
@@ -595,20 +588,21 @@ impl Dsm {
 
     /// Strict wire mode's encode half of the plan/apply pipeline: as soon
     /// as a plan batch is finalized, fill one envelope per payload by
-    /// copying out of the source shard, encode it, and post the frame to
-    /// the destination's mailbox. From this point the plan no longer
-    /// needs the source shard alive — apply reads the decoded payload.
-    /// No-op on the fast path.
+    /// copying out of the source shard (after settling any pending
+    /// landing there) and post it to the destination. From this point the
+    /// plan no longer needs the source shard — the payload lands from the
+    /// decoded frame when apply flushes. No-op on the fast path.
     fn wire_post_plan_frames(&mut self, plans: &[TransferPlan]) {
         if self.wire.is_none() {
             return;
         }
-        let mut undercount = self.take_undercount_token();
         for plan in plans {
             let ctx = self.cluster.node_trace(plan.src).context();
             for p in &plan.payloads {
+                let last = p.start_block + p.n_blocks - 1;
+                self.settle_blocks(plan.src, p.start_block, last);
                 let (s, _) = self.cluster.block_words(p.start_block);
-                let (_, e) = self.cluster.block_words(p.start_block + p.n_blocks - 1);
+                let (_, e) = self.cluster.block_words(last);
                 let mut words = self.wire.as_mut().unwrap().words_pool.take();
                 words.extend(
                     self.cluster.node_mem(plan.src)[s..e]
@@ -623,88 +617,23 @@ impl Dsm {
                     p.start_block,
                     p.n_blocks,
                 );
-                let msg = match plan.op {
+                let (start_block, n_blocks) = (p.start_block as u32, p.n_blocks as u32);
+                self.wire_post(match plan.op {
                     PlanOp::Push => WireMsg::Push {
                         hdr,
-                        start_block: p.start_block as u32,
-                        n_blocks: p.n_blocks as u32,
+                        start_block,
+                        n_blocks,
                         words,
                     },
                     PlanOp::Flush => WireMsg::Flush {
                         hdr,
-                        start_block: p.start_block as u32,
-                        n_blocks: p.n_blocks as u32,
+                        start_block,
+                        n_blocks,
                         words,
                     },
-                };
-                let w = self.wire.as_mut().unwrap();
-                let mut buf = w.mailbox.take_buf();
-                let t_enc = w.stopwatch();
-                msg.encode(&mut buf);
-                let encode_ns = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                w.note_encoded(
-                    msg.kind(),
-                    plan.dst,
-                    msg.payload_bytes(),
-                    encode_ns,
-                    std::mem::take(&mut undercount),
-                );
-                w.words_pool.put(msg.into_words());
-                w.mailbox.post(plan.dst, buf);
+                });
             }
         }
-    }
-
-    /// Strict wire mode's delivery stage: drain each destination's posted
-    /// frames from the mailbox, carry them through the transport, and
-    /// decode them back into envelopes in plan order (per-destination
-    /// FIFO order matches posting order, so frame *i* of a destination's
-    /// batch is payload *i* of its plans in batch order). Returns `None`
-    /// on the fast path. A frame the decoder rejects fails the run loudly.
-    fn wire_deliver(&mut self, plans: &[TransferPlan]) -> Option<Vec<Vec<WireMsg>>> {
-        use std::collections::{BTreeMap, VecDeque};
-        self.wire.as_ref()?;
-        let mut corrupt = self.take_corrupt_token();
-        let w = self.wire.as_mut().unwrap();
-        let mut routed: BTreeMap<NodeId, VecDeque<Vec<u8>>> = BTreeMap::new();
-        for plan in plans {
-            if routed.contains_key(&plan.dst) {
-                continue;
-            }
-            let mut frames = w.mailbox.take_inbox(plan.dst);
-            if corrupt {
-                if let Some(f) = frames.first_mut() {
-                    crate::proto::corrupt_frame(f);
-                    corrupt = false;
-                }
-            }
-            let frames = w.route(plan.dst, frames);
-            routed.insert(plan.dst, frames.into());
-        }
-        let mut decoded = Vec::with_capacity(plans.len());
-        for plan in plans {
-            let q = routed.get_mut(&plan.dst).expect("routed batch per dst");
-            let mut msgs = Vec::with_capacity(plan.payloads.len());
-            for _ in 0..plan.payloads.len() {
-                let frame = q.pop_front().expect("wire: frame for planned payload");
-                let t_dec = w.stopwatch();
-                match WireMsg::from_bytes(&frame) {
-                    Ok(m) => {
-                        w.lap(
-                            &format!("decode.{}", fgdsm_tempest::metrics::class_name(m.kind())),
-                            t_dec,
-                        );
-                        msgs.push(m);
-                    }
-                    Err(e) => panic!("wire: envelope decode failed at node {}: {e}", plan.dst),
-                }
-                w.mailbox.recycle_buf(frame);
-            }
-            decoded.push(msgs);
-        }
-        debug_assert!(routed.values().all(|q| q.is_empty()));
-        debug_assert!(w.mailbox.all_delivered());
-        Some(decoded)
     }
 
     /// Apply stage: execute the plans' pair-local work over disjoint shard
@@ -718,7 +647,10 @@ impl Dsm {
         if plans.is_empty() {
             return;
         }
-        let decoded = self.wire_deliver(plans);
+        // Strict wire mode: the plans' frames (and any fault-path frames
+        // posted before them) land now, in posting order.
+        let landed = self.wire_strict();
+        self.wire_flush();
         let cfg = self.cluster.cfg().clone();
         let mut order: Vec<usize> = (0..plans.len()).collect();
         if workers > 1 && self.inj_reorder_plan_apply() {
@@ -749,16 +681,8 @@ impl Dsm {
             .map(|&i| (plans[i].src, plans[i].dst))
             .collect();
         let order_ref = &order;
-        let decoded_ref = decoded.as_deref();
         let mut outcomes = self.cluster.apply_pairwise(&pairs, workers, |k, sa, sb| {
-            let j = order_ref[k];
-            apply_plan(
-                &plans[j],
-                decoded_ref.map(|d| d[j].as_slice()),
-                &cfg,
-                sa,
-                sb,
-            )
+            apply_plan(&plans[order_ref[k]], landed, &cfg, sa, sb)
         });
         if misfold && outcomes.len() > 1 {
             outcomes.rotate_left(1);
@@ -782,14 +706,6 @@ impl Dsm {
                             self.set_dir(b, next);
                         }
                     }
-                }
-            }
-        }
-        if let Some(d) = decoded {
-            let w = self.wire.as_mut().expect("wire state present when strict");
-            for msgs in d {
-                for m in msgs {
-                    w.words_pool.put(m.into_words());
                 }
             }
         }

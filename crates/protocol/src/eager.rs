@@ -109,7 +109,7 @@ impl Protocol for EagerInvalidate {
                             .charge_handler(h, cfg.handler_dispatch_ns + cfg.block_copy_ns);
                         stall += cfg.one_way_ns(bytes) + d.hc(2 * cfg.handler_dispatch_ns);
                     } else if mask != 0 {
-                        d.cluster.merge_block_words(w, h, b, mask);
+                        d.merge_block_words(w, h, b, mask);
                     }
                     // Refresh the twin: subsequent diffs are relative to
                     // the new merge base.

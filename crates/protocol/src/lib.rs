@@ -45,7 +45,7 @@ pub use proto::{Dsm, Protocol, ProtocolKind};
 pub use trans::{AcquireExcl, EnterMulti};
 pub use update::WriteUpdate;
 pub use wire::{
-    diff_bytes, net_timeout, reconcile_stats, write_frame, CtrlMsg, FrameDecoder, Loopback,
+    diff_bytes, net_timeout, reconcile_stats, write_frame, Batch, CtrlMsg, FrameDecoder, Loopback,
     RemoteReport, WireError, WireHeader, WireMsg, WireTransport, CTRL_MAGIC, MAX_FRAME_BYTES,
     WIRE_MAGIC, WIRE_VERSION,
 };

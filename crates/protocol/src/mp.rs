@@ -160,15 +160,16 @@ impl MpRuntime {
     /// order, so the result is byte-identical to calling
     /// [`MpRuntime::send_strided`] per section in plan order.
     ///
-    /// In strict wire mode each section is packed into a
-    /// [`WireMsg::Strided`] envelope at plan time, carried by the
-    /// transport, and unpacked from the decoded payload — same charges,
-    /// same counters, bit-identical data.
+    /// In strict wire mode each section is posted as a
+    /// [`WireMsg::Strided`] envelope, and the flush that follows lands
+    /// every one from its decoded payload before the apply runs — same
+    /// charges, same counters, bit-identical data.
     pub fn apply_send_plans(&mut self, d: &mut Dsm, plans: &[MpSendPlan], workers: usize) {
         if plans.is_empty() {
             return;
         }
-        let decoded = mp_wire_deliver(d, plans);
+        let landed = mp_wire_post(d, plans);
+        d.wire_flush();
         let cl = &mut d.cluster;
         let cfg = cl.cfg().clone();
         let total_elems: usize = plans
@@ -182,12 +183,10 @@ impl MpRuntime {
             workers
         };
         let pairs: Vec<(NodeId, NodeId)> = plans.iter().map(|p| (p.src, p.dst)).collect();
-        let decoded_ref = decoded.as_deref();
         let outcomes = cl.apply_pairwise(&pairs, workers, |k, src, dst| {
             let plan = &plans[k];
-            let wire_msgs = decoded_ref.map(|dd| dd[k].as_slice());
             let (mut arrival, mut msgs, mut elems_total) = (0u64, 0u64, 0u64);
-            for (j, &(base, run_len, stride, count)) in plan.sections.iter().enumerate() {
+            for &(base, run_len, stride, count) in &plan.sections {
                 let elems = run_len * count;
                 let bytes = elems * 8;
                 // Same accounting as `send_strided`: one message per
@@ -200,15 +199,7 @@ impl MpRuntime {
                     let s = base + i * stride;
                     src.note_msg_at(run_len * 8, src.block_of(s));
                     dst.note_msg_recv(run_len * 8);
-                    if let Some(msgs) = wire_msgs {
-                        let WireMsg::Strided { words, .. } = &msgs[j] else {
-                            unreachable!("mp plan section delivered a non-Strided envelope")
-                        };
-                        let mem = dst.mem_mut();
-                        for (t, bits) in words[i * run_len..(i + 1) * run_len].iter().enumerate() {
-                            mem[s + t] = f64::from_bits(*bits);
-                        }
-                    } else {
+                    if !landed {
                         dst.mem_mut()[s..s + run_len].copy_from_slice(&src.mem()[s..s + run_len]);
                     }
                     dst.map_range(s, run_len);
@@ -224,14 +215,6 @@ impl MpRuntime {
             self.inbox_arrival[dst] = self.inbox_arrival[dst].max(arrival);
             self.inbox_msgs[dst] += msgs;
             self.inbox_elems[dst] += elems;
-        }
-        if let Some(dd) = decoded {
-            let w = d.wire.as_mut().expect("wire state present when strict");
-            for msgs in dd {
-                for m in msgs {
-                    w.words_pool.put(m.into_words());
-                }
-            }
         }
     }
 
@@ -274,46 +257,9 @@ impl MpRuntime {
             if d.wire_strict() {
                 // One forwarded image per receiver: the packed section
                 // rides a Strided envelope and lands from the decoded
-                // payload.
-                let ctx = d.cluster.node_trace(src).context();
-                let b0 = d.cluster.block_of(base);
-                let hdr = WireHeader::for_blocks(src, dst, ctx, NO_ARRAY, b0, 1);
-                let mut words = d.wire.as_mut().unwrap().words_pool.take();
-                {
-                    let mem = d.cluster.node_mem(src);
-                    for i in 0..count {
-                        let s = base + i * stride;
-                        words.extend(mem[s..s + run_len].iter().map(|x| x.to_bits()));
-                    }
-                }
-                let msg = WireMsg::Strided {
-                    hdr,
-                    base: base as u64,
-                    run_len: run_len as u32,
-                    stride: stride as u64,
-                    count: count as u32,
-                    words,
-                };
-                match d.wire_route_one(msg) {
-                    WireMsg::Strided { words, .. } => {
-                        let t_apply = d.wire.as_ref().unwrap().stopwatch();
-                        let mem = d.cluster.node_mem_mut(dst);
-                        for i in 0..count {
-                            let s = base + i * stride;
-                            for (t, bits) in
-                                words[i * run_len..(i + 1) * run_len].iter().enumerate()
-                            {
-                                mem[s + t] = f64::from_bits(*bits);
-                            }
-                        }
-                        let w = d.wire.as_mut().unwrap();
-                        w.lap("apply.strided", t_apply);
-                        w.words_pool.put(words);
-                    }
-                    other => {
-                        panic!("wire: expected Strided envelope, got kind {}", other.kind())
-                    }
-                }
+                // payload at the next flush.
+                let msg = strided_msg(d, src, dst, (base, run_len, stride, count));
+                d.wire_post(msg);
                 for i in 0..count {
                     d.cluster.map_range(dst, base + i * stride, run_len);
                 }
@@ -395,92 +341,53 @@ impl MpRuntime {
     }
 }
 
-/// Strict wire mode's plan delivery for the message-passing backend: pack
-/// each plan section into a [`WireMsg::Strided`] envelope (payload copied
-/// out of the source shard at plan time), post the frames per
-/// destination, carry them through the transport, and decode them back in
-/// plan order. Returns `None` on the fast path. Mirrors the ctl
-/// pipeline's encode/deliver stages.
-fn mp_wire_deliver(d: &mut Dsm, plans: &[MpSendPlan]) -> Option<Vec<Vec<WireMsg>>> {
-    use std::collections::{BTreeMap, VecDeque};
-    d.wire.as_ref()?;
-    let mut undercount = d.take_undercount_token();
+/// Pack one strided section of `src`'s memory into a
+/// [`WireMsg::Strided`] envelope addressed to `dst`, settling any pending
+/// landing on the runs first (the hazard rule).
+fn strided_msg(
+    d: &mut Dsm,
+    src: NodeId,
+    dst: NodeId,
+    (base, run_len, stride, count): (usize, usize, usize, usize),
+) -> WireMsg {
+    for i in 0..count {
+        d.wire_settle(src, base + i * stride, run_len);
+    }
+    let ctx = d.cluster.node_trace(src).context();
+    let b0 = d.cluster.block_of(base);
+    let hdr = WireHeader::for_blocks(src, dst, ctx, NO_ARRAY, b0, 1);
+    let mut words = d.wire.as_mut().unwrap().words_pool.take();
+    let mem = d.cluster.node_mem(src);
+    for i in 0..count {
+        let s = base + i * stride;
+        words.extend(mem[s..s + run_len].iter().map(|x| x.to_bits()));
+    }
+    WireMsg::Strided {
+        hdr,
+        base: base as u64,
+        run_len: run_len as u32,
+        stride: stride as u64,
+        count: count as u32,
+        words,
+    }
+}
+
+/// Strict wire mode's encode stage for the message-passing backend: post
+/// each plan section as a [`WireMsg::Strided`] envelope, payload copied
+/// out of the source shard now. Returns whether anything was posted
+/// (`false` on the fast path). Mirrors the ctl pipeline's plan-time
+/// encode.
+fn mp_wire_post(d: &mut Dsm, plans: &[MpSendPlan]) -> bool {
+    if !d.wire_strict() {
+        return false;
+    }
     for plan in plans {
-        let ctx = d.cluster.node_trace(plan.src).context();
-        for &(base, run_len, stride, count) in &plan.sections {
-            let mut words = d.wire.as_mut().unwrap().words_pool.take();
-            {
-                let mem = d.cluster.node_mem(plan.src);
-                for i in 0..count {
-                    let s = base + i * stride;
-                    words.extend(mem[s..s + run_len].iter().map(|x| x.to_bits()));
-                }
-            }
-            let b0 = d.cluster.block_of(base);
-            let hdr = WireHeader::for_blocks(plan.src, plan.dst, ctx, NO_ARRAY, b0, 1);
-            let msg = WireMsg::Strided {
-                hdr,
-                base: base as u64,
-                run_len: run_len as u32,
-                stride: stride as u64,
-                count: count as u32,
-                words,
-            };
-            let w = d.wire.as_mut().unwrap();
-            let mut buf = w.mailbox.take_buf();
-            let t_enc = w.stopwatch();
-            msg.encode(&mut buf);
-            let encode_ns = t_enc.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-            w.note_encoded(
-                msg.kind(),
-                plan.dst,
-                msg.payload_bytes(),
-                encode_ns,
-                std::mem::take(&mut undercount),
-            );
-            w.words_pool.put(msg.into_words());
-            w.mailbox.post(plan.dst, buf);
+        for &section in &plan.sections {
+            let msg = strided_msg(d, plan.src, plan.dst, section);
+            d.wire_post(msg);
         }
     }
-    let mut corrupt = d.take_corrupt_token();
-    let w = d.wire.as_mut().unwrap();
-    let mut routed: BTreeMap<NodeId, VecDeque<Vec<u8>>> = BTreeMap::new();
-    for plan in plans {
-        if routed.contains_key(&plan.dst) {
-            continue;
-        }
-        let mut frames = w.mailbox.take_inbox(plan.dst);
-        if corrupt {
-            if let Some(f) = frames.first_mut() {
-                crate::proto::corrupt_frame(f);
-                corrupt = false;
-            }
-        }
-        let frames = w.route(plan.dst, frames);
-        routed.insert(plan.dst, frames.into());
-    }
-    let mut decoded = Vec::with_capacity(plans.len());
-    for plan in plans {
-        let q = routed.get_mut(&plan.dst).expect("routed batch per dst");
-        let mut msgs = Vec::with_capacity(plan.sections.len());
-        for _ in 0..plan.sections.len() {
-            let frame = q.pop_front().expect("wire: frame for planned section");
-            let t_dec = w.stopwatch();
-            match WireMsg::from_bytes(&frame) {
-                Ok(m) => {
-                    let class = fgdsm_tempest::metrics::class_name(m.kind());
-                    w.lap(&format!("decode.{class}"), t_dec);
-                    msgs.push(m);
-                }
-                Err(e) => panic!("wire: envelope decode failed at node {}: {e}", plan.dst),
-            }
-            w.mailbox.recycle_buf(frame);
-        }
-        decoded.push(msgs);
-    }
-    debug_assert!(routed.values().all(|q| q.is_empty()));
-    debug_assert!(w.mailbox.all_delivered());
-    Some(decoded)
+    true
 }
 
 #[cfg(test)]

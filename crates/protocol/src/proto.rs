@@ -13,7 +13,7 @@
 use crate::dir::DirState;
 use crate::eager::EagerInvalidate;
 use crate::update::WriteUpdate;
-use crate::wire::{reconcile_stats, WireHeader, WireMsg, WireTransport};
+use crate::wire::{reconcile_stats, Batch, WireHeader, WireMsg, WireTransport};
 use fgdsm_tempest::metrics::{class_name, MetricsRegistry, WireSpan};
 use fgdsm_tempest::{Access, Cluster, Mailbox, NodeId, VecPool, NO_ARRAY};
 use std::collections::{BTreeMap, BTreeSet};
@@ -99,8 +99,9 @@ pub struct Dsm {
     /// allocates nothing.
     pub(crate) plan_scratch: crate::ctl::PlanScratch,
     /// Strict wire mode: when present, every inter-node data movement is
-    /// encoded into a [`WireMsg`] envelope, carried by the transport, and
-    /// applied from the decoded payload (`None` = zero-copy fast path).
+    /// encoded into a [`WireMsg`] envelope and posted; [`Dsm::wire_flush`]
+    /// carries the posted frames and lands them from the decoded payloads
+    /// (`None` = zero-copy fast path).
     pub(crate) wire: Option<WireState>,
     /// Active contract mutations (fuzzer teeth; all off by default).
     #[cfg(feature = "fault-inject")]
@@ -111,21 +112,27 @@ pub struct Dsm {
 }
 
 /// Everything strict wire mode needs: the per-node [`Mailbox`] staging
-/// encoded frames, the transport that carries them, payload-buffer
-/// recycling, and frame/byte counters for reconciliation against
-/// `NodeStats`.
+/// encoded frames, the blocks those frames will land on, the transport
+/// that carries them, payload-buffer recycling, and frame/byte counters
+/// for reconciliation against `NodeStats`.
 pub(crate) struct WireState {
     pub mailbox: Mailbox,
+    /// Per node: the blocks a posted, not yet landed frame will write.
+    /// The hazard rule reads it — any read of one of these blocks at that
+    /// node flushes first.
+    pub pending: Vec<BTreeSet<usize>>,
     pub transport: Box<dyn WireTransport>,
-    /// Recycled payload buffers (PR-6 scratch discipline): encode takes
-    /// one, apply hands the decoded payload back.
+    /// Recycled payload buffers (PR-6 scratch discipline): a post takes
+    /// one to fill and hands it back once encoded. Decoded payloads are
+    /// dropped after landing, so the pool stays one buffer deep instead
+    /// of growing by one buffer per frame landed.
     pub words_pool: VecPool<u64>,
-    /// Envelopes routed so far.
+    /// Envelopes posted so far.
     pub frames: u64,
     /// Total on-wire payload bytes ([`WireMsg::payload_bytes`]).
     pub payload_bytes: u64,
-    /// Host wall-clock spent inside `transport.route`, in ns. Real time
-    /// (like `ClusterReport::wall_ns`), so it is kept out of every
+    /// Host wall-clock spent inside the transport's waves, in ns. Real
+    /// time (like `ClusterReport::wall_ns`), so it is kept out of every
     /// canonical artifact — it exists so the bench layer can put
     /// *measured* transport latency next to the *predicted* virtual
     /// comm clock.
@@ -134,6 +141,9 @@ pub(crate) struct WireState {
     /// Only consulted when the `fault-inject` feature is compiled in.
     #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
     pub corrupted: bool,
+    /// One-shot marker: the `skip_hazard_flush` injection has fired.
+    #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
+    pub hazard_skipped: bool,
     /// Coordinator-side double-entry book, per destination node: frames
     /// and payload bytes staged toward each peer. Always maintained (two
     /// adds per frame), reconciled against each remote's `ByeStats` at
@@ -146,8 +156,9 @@ pub(crate) struct WireState {
 }
 
 /// The coordinator's wall-clock telemetry state: per-class histograms
-/// and counters, the epoch every span timestamp is relative to, and the
-/// socket-batch spans for the merged Chrome trace.
+/// and counters, the per-batch route histogram, the epoch every span
+/// timestamp is relative to, and the socket-batch spans for the merged
+/// Chrome trace.
 pub(crate) struct WireMetrics {
     pub reg: MetricsRegistry,
     pub epoch: std::time::Instant,
@@ -172,12 +183,14 @@ impl WireState {
     fn new(nprocs: usize, transport: Box<dyn WireTransport>) -> Self {
         WireState {
             mailbox: Mailbox::new(nprocs),
+            pending: vec![BTreeSet::new(); nprocs],
             transport,
             words_pool: VecPool::default(),
             frames: 0,
             payload_bytes: 0,
             route_ns: 0,
             corrupted: false,
+            hazard_skipped: false,
             dst_frames: vec![0; nprocs],
             dst_payload: vec![0; nprocs],
             metrics: None,
@@ -189,7 +202,7 @@ impl WireState {
     /// telemetry is on. `undercount` is the armed `undercount_metrics`
     /// injection token — it skips the per-class payload counter exactly
     /// once, which the fuzz oracle's conservation invariant must catch.
-    pub(crate) fn note_encoded(
+    fn note_encoded(
         &mut self,
         kind: u8,
         dst: usize,
@@ -212,60 +225,63 @@ impl WireState {
         }
     }
 
-    /// Start an encode/decode stopwatch — `None` (no clock read at all)
-    /// when telemetry is off.
-    pub(crate) fn stopwatch(&self) -> Option<std::time::Instant> {
+    /// Start an encode/decode/apply stopwatch — `None` (no clock read at
+    /// all) when telemetry is off.
+    fn stopwatch(&self) -> Option<std::time::Instant> {
         self.metrics.as_ref().map(|_| std::time::Instant::now())
     }
 
-    /// Record a histogram sample against a started stopwatch.
-    pub(crate) fn lap(&mut self, name: &str, t0: Option<std::time::Instant>) {
+    /// Record a `<stage>.<class>` histogram sample against a started
+    /// stopwatch (the key is only built when telemetry is on).
+    fn lap(&mut self, stage: &str, kind: u8, t0: Option<std::time::Instant>) {
         if let (Some(m), Some(t0)) = (self.metrics.as_mut(), t0) {
-            m.reg.record_ns(name, t0.elapsed().as_nanos() as u64);
+            let ns = t0.elapsed().as_nanos() as u64;
+            m.reg
+                .record_ns(&format!("{stage}.{}", class_name(kind)), ns);
         }
     }
 
-    /// Carry one batch through the transport, accumulating measured wall
-    /// time. A transport-level failure (peer gone, timeout) unwinds with
-    /// the typed [`crate::wire::WireError`] itself as the panic payload,
-    /// so executors can `catch_unwind` + downcast it back into a typed
-    /// result instead of scraping a message string.
+    /// Carry one wave through the transport, accumulating measured wall
+    /// time. A transport-level failure (peer gone, timeout, a short or
+    /// garbled reply) unwinds with the typed [`crate::wire::WireError`]
+    /// itself as the panic payload, so executors can `catch_unwind` +
+    /// downcast it back into a typed result instead of scraping a
+    /// message string.
     ///
-    /// With telemetry on, each non-empty batch additionally records a
-    /// [`WireSpan`] (for the merged Chrome trace) and the batch's
-    /// round-trip duration into `route.<class>` for every frame it
-    /// carried — the class read by peeking each frame's kind byte
-    /// (offset 4, after magic + version) without decoding.
-    pub(crate) fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    /// With telemetry on, each batch books one `route.batch` sample and
+    /// one [`WireSpan`] (for the merged Chrome trace) carrying its frame
+    /// and byte counts. A batch's duration is the transport's `busy_ns`
+    /// for it; the spans are laid end to end from the wave's start, so
+    /// they never overlap and sum to at most the measured route time.
+    fn route(&mut self, wave: &mut [Batch]) {
         let pre = self.metrics.as_ref().map(|m| {
-            let kinds: Vec<u8> = frames
+            let sizes: Vec<(u32, u64)> = wave
                 .iter()
-                .map(|f| f.get(4).copied().unwrap_or(u8::MAX))
+                .map(|b| {
+                    let bytes = b.frames.iter().map(|f| f.len() as u64).sum();
+                    (b.frames.len() as u32, bytes)
+                })
                 .collect();
-            let bytes: u64 = frames.iter().map(|f| f.len() as u64).sum();
-            (kinds, bytes, m.epoch.elapsed().as_nanos() as u64)
+            (sizes, m.epoch.elapsed().as_nanos() as u64)
         });
         let t0 = std::time::Instant::now();
-        let routed = self.transport.route(dst, frames);
-        let dur_ns = t0.elapsed().as_nanos() as u64;
-        self.route_ns += dur_ns;
-        if let (Some(m), Some((kinds, bytes, start_ns))) = (self.metrics.as_mut(), pre) {
-            if !kinds.is_empty() {
+        let routed = self.transport.route_wave(wave);
+        self.route_ns += t0.elapsed().as_nanos() as u64;
+        if let Err(e) = routed {
+            std::panic::panic_any(e);
+        }
+        if let (Some(m), Some((sizes, mut start_ns))) = (self.metrics.as_mut(), pre) {
+            for (b, (frames, bytes)) in wave.iter().zip(sizes) {
                 m.spans.push(WireSpan {
-                    dst: dst as u32,
+                    dst: b.dst as u32,
                     start_ns,
-                    dur_ns,
-                    frames: kinds.len() as u32,
+                    dur_ns: b.busy_ns,
+                    frames,
                     bytes,
                 });
-                for k in kinds {
-                    m.reg.record_ns(&format!("route.{}", class_name(k)), dur_ns);
-                }
+                m.reg.record_ns("route.batch", b.busy_ns);
+                start_ns += b.busy_ns;
             }
-        }
-        match routed {
-            Ok(frames) => frames,
-            Err(e) => std::panic::panic_any(e),
         }
     }
 }
@@ -273,7 +289,7 @@ impl WireState {
 /// Deliberately damage an encoded frame for the `corrupt_envelope`
 /// must-catch injection: flipping a version bit leaves the payload
 /// intact, so only a decoder that actually validates will notice.
-pub(crate) fn corrupt_frame(buf: &mut [u8]) {
+fn corrupt_frame(buf: &mut [u8]) {
     if buf.len() > 2 {
         buf[2] ^= 0x40;
     }
@@ -321,6 +337,11 @@ pub struct Injection {
     /// invariant — Σ per-class payload counters == `wire_payload_bytes`
     /// — must catch the shortfall, proving the invariant has teeth.
     pub undercount_metrics: bool,
+    /// Skip the first hazard flush in strict wire mode: one read of a
+    /// block whose landing is still pending sees the stale contents. The
+    /// fuzz oracle must catch the resulting divergence, proving the
+    /// deferred-landing hazard rule has teeth.
+    pub skip_hazard_flush: bool,
 }
 
 impl Dsm {
@@ -367,9 +388,13 @@ impl Dsm {
     }
 
     /// Switch on strict wire mode: from here on, every inter-node data
-    /// movement round-trips through an encoded [`WireMsg`] carried by
-    /// `transport`. Observable behavior (clocks, stats, traces, data)
-    /// is byte-identical to the fast path — only the data path changes.
+    /// movement is posted as an encoded [`WireMsg`] and lands when
+    /// [`Dsm::wire_flush`] carries it through `transport`. Observable
+    /// behavior (clocks, stats, traces, data) is byte-identical to the
+    /// fast path once flushed — only the data path changes. A caller
+    /// that reads or writes node memory directly (kernels, result
+    /// gathers) flushes first; the facade's own readers follow the
+    /// hazard rule by themselves.
     pub fn set_wire(&mut self, transport: Box<dyn WireTransport>) {
         let nprocs = self.cluster.nprocs();
         self.wire = Some(WireState::new(nprocs, transport));
@@ -406,6 +431,10 @@ impl Dsm {
         let Some(w) = self.wire.as_mut() else {
             return (None, Vec::new());
         };
+        debug_assert!(
+            w.mailbox.all_delivered(),
+            "wire_finish with frames never flushed"
+        );
         let reports = w.transport.finish();
         for r in &reports {
             let node = r.node as usize;
@@ -432,7 +461,7 @@ impl Dsm {
         (Some(merged), m.spans)
     }
 
-    /// `(frames routed, payload bytes)` so far; `(0, 0)` on the fast
+    /// `(frames posted, payload bytes)` so far; `(0, 0)` on the fast
     /// path. Exposed outside the report so wire accounting can be
     /// reconciled against `NodeStats` without perturbing byte-identity.
     pub fn wire_stats(&self) -> (u64, u64) {
@@ -441,7 +470,7 @@ impl Dsm {
             .map_or((0, 0), |w| (w.frames, w.payload_bytes))
     }
 
-    /// Measured host wall-clock spent inside the transport's `route`, in
+    /// Measured host wall-clock spent inside the transport's waves, in
     /// ns (`0` on the fast path). Real time, never part of canonical
     /// artifacts — the bench layer reads it to compare measured transport
     /// latency against the virtual cost model.
@@ -524,9 +553,9 @@ impl Dsm {
     }
 
     /// Consume the one-shot `corrupt_envelope` token: true exactly once
-    /// per run, for the first routed frame, when the injection is armed
+    /// per run, for the first posted frame, when the injection is armed
     /// and strict wire mode is active.
-    pub(crate) fn take_corrupt_token(&mut self) -> bool {
+    fn take_corrupt_token(&mut self) -> bool {
         #[cfg(feature = "fault-inject")]
         {
             if self.injection.corrupt_envelope {
@@ -541,10 +570,27 @@ impl Dsm {
         false
     }
 
+    /// Consume the one-shot `skip_hazard_flush` token: true exactly once
+    /// per run, for the first hazard flush, when the injection is armed.
+    fn take_skip_hazard_token(&mut self) -> bool {
+        #[cfg(feature = "fault-inject")]
+        {
+            if self.injection.skip_hazard_flush {
+                if let Some(w) = self.wire.as_mut() {
+                    if !w.hazard_skipped {
+                        w.hazard_skipped = true;
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+
     /// Consume the one-shot `undercount_metrics` token: true exactly
     /// once per run, for the first staged envelope, when the injection
     /// is armed and telemetry is recording.
-    pub(crate) fn take_undercount_token(&mut self) -> bool {
+    fn take_undercount_token(&mut self) -> bool {
         #[cfg(feature = "fault-inject")]
         {
             if self.injection.undercount_metrics {
@@ -560,43 +606,131 @@ impl Dsm {
     }
 
     // ------------------------------------------------------------------
-    // Strict wire mode: envelope encode / route / decode / apply
+    // Strict wire mode: post → flush → land
     // ------------------------------------------------------------------
+    //
+    // A transfer is *posted*: its payload is copied out of the source
+    // node's memory, encoded into a mailbox frame for the destination,
+    // and the blocks it will write there are recorded as pending. A
+    // *flush* routes every posted frame in one wave — at most one batch
+    // per destination — and *lands* each delivered envelope in its
+    // destination's memory, in posting order. Virtual-time charges stay
+    // at the call sites, so when a frame lands changes no artifact.
+    //
+    // The hazard rule keeps deferred landing invisible: before anything
+    // reads a node's memory (a copy or diff source, a twin, a diff mask,
+    // a merge, a plan payload, an index array), the reader calls
+    // `settle_blocks`, which flushes when a pending landing overlaps the
+    // blocks read. The engine also flushes before kernels run, at the
+    // end of each loop, and before gathering results.
 
-    /// Encode `msg`, carry it through the transport as bytes, decode the
-    /// delivered frame. The source payload buffer is recycled; a frame
-    /// the decoder rejects fails the run loudly (dropped traffic is
-    /// never papered over).
-    pub(crate) fn wire_route_one(&mut self, msg: WireMsg) -> WireMsg {
+    /// Post one envelope: encode it into a frame for its destination,
+    /// book it, and record the blocks it will land on as pending. The
+    /// payload buffer is recycled.
+    pub(crate) fn wire_post(&mut self, msg: WireMsg) {
         let corrupt = self.take_corrupt_token();
         let undercount = self.take_undercount_token();
-        let w = self.wire.as_mut().expect("wire_route_one: strict mode off");
+        let wpb = self.cluster.words_per_block();
+        let w = self.wire.as_mut().expect("wire_post: strict mode off");
         let (kind, dst, payload) = (msg.kind(), msg.hdr().dst as usize, msg.payload_bytes());
         let mut buf = w.mailbox.take_buf();
         let t_enc = w.stopwatch();
         msg.encode(&mut buf);
         let encode_ns = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
         w.note_encoded(kind, dst, payload, encode_ns, undercount);
-        w.words_pool.put(msg.into_words());
         if corrupt {
             corrupt_frame(&mut buf);
         }
-        let mut frames = w.route(dst, vec![buf]);
-        let frame = frames.pop().expect("wire: transport dropped a frame");
-        let t_dec = w.stopwatch();
-        let out = match WireMsg::from_bytes(&frame) {
-            Ok(m) => m,
-            Err(e) => panic!("wire: envelope decode failed at node {dst}: {e}"),
+        let pending = &mut w.pending[dst];
+        let mut last = usize::MAX;
+        msg.scatter(wpb, |a, _| {
+            if a / wpb != last {
+                last = a / wpb;
+                pending.insert(last);
+            }
+        });
+        w.words_pool.put(msg.into_words());
+        w.mailbox.post(dst, buf);
+    }
+
+    /// Route every posted frame in one wave and land each delivered
+    /// envelope in its destination's memory, in posting order. A frame
+    /// the decoder rejects fails the run loudly (dropped traffic is never
+    /// papered over). No-op when nothing is posted — always, on the fast
+    /// path.
+    pub fn wire_flush(&mut self) {
+        let Dsm { wire, cluster, .. } = self;
+        let Some(w) = wire.as_mut() else {
+            return;
         };
-        w.lap(&format!("decode.{}", class_name(out.kind())), t_dec);
-        w.mailbox.recycle_buf(frame);
-        out
+        if w.mailbox.all_delivered() {
+            return;
+        }
+        let mut wave: Vec<Batch> = (0..cluster.nprocs())
+            .filter_map(|dst| {
+                let frames = w.mailbox.take_inbox(dst);
+                (!frames.is_empty()).then_some(Batch {
+                    dst,
+                    frames,
+                    busy_ns: 0,
+                })
+            })
+            .collect();
+        w.route(&mut wave);
+        for p in &mut w.pending {
+            p.clear();
+        }
+        let wpb = cluster.words_per_block();
+        for batch in wave {
+            let mem = cluster.node_mem_mut(batch.dst);
+            for frame in batch.frames {
+                let t_dec = w.stopwatch();
+                let msg = match WireMsg::from_bytes(&frame) {
+                    Ok(m) => m,
+                    Err(e) => panic!("wire: envelope decode failed at node {}: {e}", batch.dst),
+                };
+                w.lap("decode", msg.kind(), t_dec);
+                let t_apply = w.stopwatch();
+                msg.scatter(wpb, |a, bits| mem[a] = f64::from_bits(bits));
+                w.lap("apply", msg.kind(), t_apply);
+                w.mailbox.recycle_buf(frame);
+            }
+        }
+    }
+
+    /// The hazard rule: about to read blocks `first..=last` of `node`'s
+    /// memory, flush if a pending landing overlaps them.
+    pub(crate) fn settle_blocks(&mut self, node: NodeId, first: usize, last: usize) {
+        let Some(w) = self.wire.as_ref() else {
+            return;
+        };
+        if w.pending[node].range(first..=last).next().is_none() {
+            return;
+        }
+        if self.take_skip_hazard_token() {
+            return;
+        }
+        self.wire_flush();
+    }
+
+    /// The hazard rule for a word range: about to read words
+    /// `[start, start + len)` of `node`'s memory, flush if a pending
+    /// landing overlaps their blocks. For readers outside this crate
+    /// (the engine's inspector reads index arrays straight from memory).
+    pub fn wire_settle(&mut self, node: NodeId, start: usize, len: usize) {
+        if len > 0 && self.wire.is_some() {
+            let (b0, b1) = (
+                self.cluster.block_of(start),
+                self.cluster.block_of(start + len - 1),
+            );
+            self.settle_blocks(node, b0, b1);
+        }
     }
 
     /// Move `len` words `src → dst` starting at word `start`. Fast path:
-    /// a direct shard-to-shard copy. Strict wire mode: the words travel
-    /// as an encoded [`WireMsg::Copy`] through the transport and land
-    /// from the decoded payload — behaviorally identical, bit for bit.
+    /// a direct shard-to-shard copy. Strict wire mode: the words are
+    /// posted as an encoded [`WireMsg::Copy`] and land from the decoded
+    /// payload at the next flush — behaviorally identical, bit for bit.
     /// Charges and message accounting stay at the call sites.
     pub fn wire_copy(&mut self, src: NodeId, dst: NodeId, start: usize, len: usize) {
         if src == dst || len == 0 {
@@ -606,6 +740,7 @@ impl Dsm {
             self.cluster.copy_words(src, dst, start, len);
             return;
         }
+        self.wire_settle(src, start, len);
         let ctx = self.cluster.node_trace(src).context();
         let b0 = self.cluster.block_of(start);
         let b1 = self.cluster.block_of(start + len - 1);
@@ -616,34 +751,18 @@ impl Dsm {
                 .iter()
                 .map(|x| x.to_bits()),
         );
-        let msg = WireMsg::Copy {
+        self.wire_post(WireMsg::Copy {
             hdr,
             start_word: start as u64,
             words,
-        };
-        match self.wire_route_one(msg) {
-            WireMsg::Copy {
-                start_word, words, ..
-            } => {
-                let t_apply = self.wire.as_ref().unwrap().stopwatch();
-                let s = start_word as usize;
-                let mem = self.cluster.node_mem_mut(dst);
-                for (i, bits) in words.iter().enumerate() {
-                    mem[s + i] = f64::from_bits(*bits);
-                }
-                let w = self.wire.as_mut().unwrap();
-                w.lap("apply.copy", t_apply);
-                w.words_pool.put(words);
-            }
-            other => panic!("wire: expected Copy envelope, got kind {}", other.kind()),
-        }
+        });
     }
 
     /// The single home of (array, block) diff attribution: account the
     /// word-diff message `src → dst` for block `b` (the mask word plus
     /// one word per dirty bit, [`crate::wire::diff_bytes`]) and move the
-    /// masked words — enveloped as [`WireMsg::Diff`] in strict wire
-    /// mode. Returns the on-wire bytes for the caller's latency charge.
+    /// masked words — posted as a [`WireMsg::Diff`] in strict wire mode.
+    /// Returns the on-wire bytes for the caller's latency charge.
     pub fn wire_diff(&mut self, src: NodeId, dst: NodeId, b: usize, mask: u64) -> usize {
         let bytes = crate::wire::diff_bytes(mask);
         self.cluster.note_msg_at(src, dst, bytes, b);
@@ -651,6 +770,7 @@ impl Dsm {
             self.cluster.merge_block_words(src, dst, b, mask);
             return bytes;
         }
+        self.settle_blocks(src, b, b);
         let ctx = self.cluster.node_trace(src).context();
         let hdr = WireHeader::for_blocks(src, dst, ctx, NO_ARRAY, b, 1);
         let (s, _) = self.cluster.block_words(b);
@@ -661,32 +781,12 @@ impl Dsm {
                 words.push(mem[s + bit as usize].to_bits());
             }
         }
-        let msg = WireMsg::Diff {
+        self.wire_post(WireMsg::Diff {
             hdr,
             block: b as u64,
             mask,
             words,
-        };
-        match self.wire_route_one(msg) {
-            WireMsg::Diff {
-                block, mask, words, ..
-            } => {
-                let t_apply = self.wire.as_ref().unwrap().stopwatch();
-                let (s, _) = self.cluster.block_words(block as usize);
-                let mem = self.cluster.node_mem_mut(dst);
-                let mut i = 0;
-                for bit in 0..64u32 {
-                    if mask & (1u64 << bit) != 0 {
-                        mem[s + bit as usize] = f64::from_bits(words[i]);
-                        i += 1;
-                    }
-                }
-                let w = self.wire.as_mut().unwrap();
-                w.lap("apply.diff", t_apply);
-                w.words_pool.put(words);
-            }
-            other => panic!("wire: expected Diff envelope, got kind {}", other.kind()),
-        }
+        });
         bytes
     }
 
@@ -754,6 +854,7 @@ impl Dsm {
 
     /// Snapshot a block's current contents at `node` into a twin buffer.
     pub fn make_twin(&mut self, node: NodeId, b: usize) {
+        self.settle_blocks(node, b, b);
         let (s, e) = self.cluster.block_words(b);
         let data: Box<[f64]> = self.cluster.node_mem(node)[s..e].into();
         self.twins.insert((b, node), data);
@@ -770,7 +871,8 @@ impl Dsm {
     }
 
     /// Word-diff a writer's block against its twin; returns the dirty mask.
-    pub fn diff_mask(&self, node: NodeId, b: usize) -> u64 {
+    pub fn diff_mask(&mut self, node: NodeId, b: usize) -> u64 {
+        self.settle_blocks(node, b, b);
         let twin = &self.twins[&(b, node)];
         let (s, e) = self.cluster.block_words(b);
         let cur = &self.cluster.node_mem(node)[s..e];
@@ -781,6 +883,16 @@ impl Dsm {
             }
         }
         mask
+    }
+
+    /// Copy the words of block `b` selected by `mask` from `src`'s copy
+    /// into `dst`'s, in place — a local merge with no message (the
+    /// message-carrying merge is [`Dsm::wire_diff`]). Both copies are
+    /// settled first, so a pending landing on either is not overtaken.
+    pub fn merge_block_words(&mut self, src: NodeId, dst: NodeId, b: usize, mask: u64) {
+        self.settle_blocks(src, b, b);
+        self.settle_blocks(dst, b, b);
+        self.cluster.merge_block_words(src, dst, b, mask);
     }
 
     /// Cost and data movement for the home shipping its (current) copy of

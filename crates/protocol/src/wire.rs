@@ -189,6 +189,13 @@ pub enum WireError {
     /// A length prefix above [`MAX_FRAME_BYTES`] — rejected before any
     /// allocation or read.
     FrameTooBig(u64),
+    /// A node answered a batch of `sent` frames with a reply announcing
+    /// `got` — a lost or invented frame, caught before any reply frame
+    /// is read.
+    ReplyCount { node: u32, sent: u32, got: u32 },
+    /// A node's reply did not start with a decodable `Batch`/`Err`
+    /// control frame.
+    BadControl { node: u32, detail: String },
     /// Double-entry reconciliation failure at teardown: a node's
     /// [`CtrlMsg::ByeStats`] accounting disagrees with the coordinator's
     /// book for that node. Reports *which* counter diverged and both
@@ -215,6 +222,15 @@ impl std::fmt::Display for WireError {
             WireError::Timeout(p) => write!(f, "recv from node {p} timed out"),
             WireError::FrameTooBig(n) => {
                 write!(f, "frame length {n} exceeds cap {MAX_FRAME_BYTES}")
+            }
+            WireError::ReplyCount { node, sent, got } => {
+                write!(
+                    f,
+                    "node {node} answered a batch of {sent} frames with {got}"
+                )
+            }
+            WireError::BadControl { node, detail } => {
+                write!(f, "node {node} sent a bad control reply: {detail}")
             }
             WireError::StatsMismatch {
                 node,
@@ -300,6 +316,59 @@ impl WireMsg {
             | WireMsg::Copy { words, .. }
             | WireMsg::Diff { words, .. }
             | WireMsg::Strided { words, .. } => words,
+        }
+    }
+
+    /// Visit every `(word address, payload word)` pair this envelope
+    /// stores at its destination, in payload order — the one home of the
+    /// per-kind geometry (`wpb` is the words per coherence block). Both
+    /// the coordinator's landing and a node process's mirror apply go
+    /// through here.
+    pub fn scatter(&self, wpb: usize, mut put: impl FnMut(usize, u64)) {
+        match self {
+            WireMsg::Push {
+                start_block, words, ..
+            }
+            | WireMsg::Flush {
+                start_block, words, ..
+            } => {
+                let s = *start_block as usize * wpb;
+                for (i, &w) in words.iter().enumerate() {
+                    put(s + i, w);
+                }
+            }
+            WireMsg::Copy {
+                start_word, words, ..
+            } => {
+                let s = *start_word as usize;
+                for (i, &w) in words.iter().enumerate() {
+                    put(s + i, w);
+                }
+            }
+            WireMsg::Diff {
+                block, mask, words, ..
+            } => {
+                let s = *block as usize * wpb;
+                let set = (0..64usize).filter(|bit| mask & (1u64 << bit) != 0);
+                for (bit, &w) in set.zip(words) {
+                    put(s + bit, w);
+                }
+            }
+            WireMsg::Strided {
+                base,
+                run_len,
+                stride,
+                words,
+                ..
+            } => {
+                let (base, run_len, stride) = (*base as usize, *run_len as usize, *stride as usize);
+                for (i, run) in words.chunks(run_len.max(1)).enumerate() {
+                    let s = base + i * stride;
+                    for (t, &w) in run.iter().enumerate() {
+                        put(s + t, w);
+                    }
+                }
+            }
         }
     }
 
@@ -599,7 +668,7 @@ const CTRL_MAX_METRICS: usize = 1 << 20;
 /// ```text
 /// node → coord   Hello { node, version }
 /// coord → node   HelloAck { nprocs, wpb, seg_words }   (shard geometry)
-/// coord → node   Batch { n } + n data frames           (per route call)
+/// coord → node   Batch { n } + n data frames           (one per wave batch)
 /// node → coord   Batch { n } + n re-encoded frames     (or Err { detail })
 /// coord → node   Bye
 /// node → coord   ByeStats { frames, payload_bytes, metrics }
@@ -796,17 +865,35 @@ pub fn reconcile_stats(
     Ok(())
 }
 
-/// Carries encoded frames to their destination node. Implementations
+/// One destination's share of a routing wave: the frames posted to
+/// `dst` in posting order. The transport replaces `frames` with the
+/// frames as delivered. A transport that times its batches (the socket
+/// transport, when telemetry is on) books in `busy_ns` the wall time it
+/// spent on this batch alone — sending it and reading its reply. Those
+/// intervals never overlap, so a wave's `busy_ns` values sum to at most
+/// the wave's duration.
+#[derive(Debug)]
+pub struct Batch {
+    pub dst: usize,
+    pub frames: Vec<Vec<u8>>,
+    pub busy_ns: u64,
+}
+
+/// Carries encoded frames to their destination nodes. Implementations
 /// must deliver each batch in order and return exactly the frames that
-/// arrived; they never interpret payloads (the apply stage decodes).
+/// arrived; they never interpret payloads (the landing stage decodes).
 pub trait WireTransport {
-    /// Route a batch of encoded frames to `dst`, returning the frames
-    /// as delivered (same order). `Err` is a transport-level failure —
-    /// the peer died ([`WireError::PeerGone`]) or went silent past the
-    /// deadline ([`WireError::Timeout`]); a frame the peer *rejected*
+    /// Route one wave — at most one batch per destination — returning
+    /// each batch's frames as delivered (same order) in place. A socket
+    /// transport sends every batch before it reads any reply, so the
+    /// destinations work concurrently. `Err` is a transport-level
+    /// failure: the peer died ([`WireError::PeerGone`]), went silent
+    /// past the deadline ([`WireError::Timeout`]), or answered with the
+    /// wrong frame count ([`WireError::ReplyCount`]) or a bad control
+    /// frame ([`WireError::BadControl`]). A frame the peer *rejected*
     /// (decode failure) still fails loudly via panic, because dropped
     /// traffic is a protocol bug, not a transport condition.
-    fn route(&mut self, dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError>;
+    fn route_wave(&mut self, wave: &mut [Batch]) -> Result<(), WireError>;
     /// Orderly end-of-run: tear down remote peers and collect their
     /// final per-process accounting ([`RemoteReport`]). In-process
     /// transports have no remote book, so the default returns nothing.
@@ -821,8 +908,8 @@ pub trait WireTransport {
 pub struct Loopback;
 
 impl WireTransport for Loopback {
-    fn route(&mut self, _dst: usize, frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        Ok(frames)
+    fn route_wave(&mut self, _wave: &mut [Batch]) -> Result<(), WireError> {
+        Ok(())
     }
 }
 
@@ -1113,6 +1200,68 @@ mod tests {
                 local: 792,
                 remote: 800,
             })
+        );
+    }
+
+    /// `scatter` visits each payload word at the address its kind's
+    /// geometry names, in payload order.
+    #[test]
+    fn scatter_places_every_payload_word() {
+        let hdr = WireHeader::for_blocks(0, 1, (0, 0), 0, 0, 1);
+        let cases = vec![
+            (push_msg(), vec![28, 29]),
+            (
+                WireMsg::Copy {
+                    hdr: hdr.clone(),
+                    start_word: 5,
+                    words: vec![1, 2],
+                },
+                vec![5, 6],
+            ),
+            (
+                WireMsg::Diff {
+                    hdr: hdr.clone(),
+                    block: 2,
+                    mask: 0b1010,
+                    words: vec![1, 2],
+                },
+                vec![9, 11],
+            ),
+            (
+                WireMsg::Strided {
+                    hdr,
+                    base: 3,
+                    run_len: 2,
+                    stride: 10,
+                    count: 2,
+                    words: vec![1, 2, 3, 4],
+                },
+                vec![3, 4, 13, 14],
+            ),
+        ];
+        for (msg, want) in cases {
+            let mut got = Vec::new();
+            msg.scatter(4, |a, w| got.push((a, w)));
+            let want: Vec<(usize, u64)> = want.into_iter().zip(msg.words().to_vec()).collect();
+            assert_eq!(got, want, "kind {}", msg.kind());
+        }
+    }
+
+    #[test]
+    fn reply_errors_name_the_node() {
+        let e = WireError::ReplyCount {
+            node: 1,
+            sent: 3,
+            got: 2,
+        };
+        assert_eq!(e.to_string(), "node 1 answered a batch of 3 frames with 2");
+        let e = WireError::BadControl {
+            node: 2,
+            detail: "unknown kind byte 9".into(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "node 2 sent a bad control reply: unknown kind byte 9"
         );
     }
 

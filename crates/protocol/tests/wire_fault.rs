@@ -7,15 +7,15 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use fgdsm_protocol::{Dsm, SendEntry, WireError, WireTransport};
+use fgdsm_protocol::{Batch, Dsm, SendEntry, WireError, WireTransport};
 use fgdsm_tempest::{Cluster, CostModel, HomePolicy, SegmentLayout, NO_ARRAY};
 
 /// A transport whose every peer has already hung up.
 struct DeadPeers;
 
 impl WireTransport for DeadPeers {
-    fn route(&mut self, dst: usize, _frames: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, WireError> {
-        Err(WireError::PeerGone(dst as u32))
+    fn route_wave(&mut self, wave: &mut [Batch]) -> Result<(), WireError> {
+        Err(WireError::PeerGone(wave[0].dst as u32))
     }
 }
 

@@ -35,7 +35,7 @@ const MAX_BLOB_ENTRIES: usize = 4096;
 const MAX_BLOB_NAME: usize = 256;
 
 /// The five `WireMsg` payload classes by `kind()` byte, for metric-key
-/// construction (`route.push`, `node2.apply.diff`, …).
+/// construction (`encode.push`, `node2.apply.diff`, …).
 pub fn class_name(kind: u8) -> &'static str {
     match kind {
         0 => "push",
@@ -232,7 +232,7 @@ impl Metric {
 }
 
 /// A deterministic named-metric registry. Keys are dotted paths
-/// (`route.push`, `frames.diff`, `node1.apply.copy`); iteration, JSON
+/// (`route.batch`, `frames.diff`, `node1.apply.copy`); iteration, JSON
 /// export and the binary blob are all in key order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsRegistry {
@@ -500,7 +500,9 @@ impl MetricsRegistry {
 
 /// One wall-clock socket-batch span recorded by the coordinator's
 /// transport: the route of one frame batch to worker `dst`, timed from
-/// the telemetry epoch.
+/// the telemetry epoch. `dur_ns` is the coordinator time spent on this
+/// batch alone (sending it, then reading its reply), so the spans of one
+/// wave never overlap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireSpan {
     pub dst: u32,
@@ -508,6 +510,30 @@ pub struct WireSpan {
     pub dur_ns: u64,
     pub frames: u32,
     pub bytes: u64,
+}
+
+/// Least-squares fit of the paper's message cost form over batch spans:
+/// `dur_ns ≈ α + β·bytes`. Returns `(α ns, β ns/byte)`; with fewer than
+/// two distinct batch sizes β is undetermined and reported as 0, α as
+/// the mean duration (`(0, 0)` for no spans).
+pub fn fit_cost_form(spans: &[WireSpan]) -> (f64, f64) {
+    if spans.is_empty() {
+        return (0.0, 0.0);
+    }
+    let n = spans.len() as f64;
+    let mx = spans.iter().map(|s| s.bytes as f64).sum::<f64>() / n;
+    let my = spans.iter().map(|s| s.dur_ns as f64).sum::<f64>() / n;
+    let (mut sxx, mut sxy) = (0.0, 0.0);
+    for s in spans {
+        let dx = s.bytes as f64 - mx;
+        sxx += dx * dx;
+        sxy += dx * (s.dur_ns as f64 - my);
+    }
+    if sxx == 0.0 {
+        return (my, 0.0);
+    }
+    let beta = sxy / sxx;
+    (my - beta * mx, beta)
 }
 
 /// Splice wall-clock socket-batch spans into a virtual-clock Chrome
@@ -732,6 +758,28 @@ mod tests {
         assert_eq!(class_name(3), "diff");
         assert_eq!(class_name(4), "strided");
         assert_eq!(class_name(99), "unknown");
+    }
+
+    #[test]
+    fn cost_form_fit_recovers_alpha_and_beta() {
+        let span = |bytes: u64, dur_ns: u64| WireSpan {
+            dst: 0,
+            start_ns: 0,
+            dur_ns,
+            frames: 1,
+            bytes,
+        };
+        // 20 µs + 12 ns/B, exactly.
+        let spans: Vec<WireSpan> = [100, 1000, 5000]
+            .iter()
+            .map(|&b| span(b, 20_000 + 12 * b))
+            .collect();
+        let (alpha, beta) = fit_cost_form(&spans);
+        assert!((alpha - 20_000.0).abs() < 1e-6, "alpha {alpha}");
+        assert!((beta - 12.0).abs() < 1e-9, "beta {beta}");
+        // One batch size: beta undetermined, alpha the mean.
+        assert_eq!(fit_cost_form(&[span(8, 10), span(8, 30)]), (20.0, 0.0));
+        assert_eq!(fit_cost_form(&[]), (0.0, 0.0));
     }
 
     #[test]

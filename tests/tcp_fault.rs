@@ -1,8 +1,10 @@
-//! Fault tolerance of the socket-backed `tcp` backend: killing or
-//! wedging an `fgdsm-node` worker process mid-superstep must surface a
-//! clean *typed* error at the coordinator — [`WireError::PeerGone`] on
-//! EOF, [`WireError::Timeout`] once the recv deadline fires — within a
-//! bounded wall time, with no hang and no partial trace artifact.
+//! Fault tolerance of the socket-backed `tcp` backend: killing,
+//! wedging or garbling an `fgdsm-node` worker process mid-superstep must
+//! surface a clean *typed* error at the coordinator —
+//! [`WireError::PeerGone`] on EOF, [`WireError::Timeout`] once the recv
+//! deadline fires, [`WireError::ReplyCount`] for a reply a frame short —
+//! within a bounded wall time, with no hang and no partial trace
+//! artifact.
 //!
 //! The tests mutate process-global environment (`FGDSM_NET_TIMEOUT_MS`,
 //! `FGDSM_TRACE`), so they serialize on one mutex.
@@ -98,6 +100,33 @@ fn wedged_node_yields_typed_timeout_within_deadline() {
             assert_eq!(p, 1, "error must name the wedged node")
         }
         other => panic!("want Wire(Timeout(1)), got {other:?}"),
+    }
+}
+
+/// A node that answers a batch one frame short surfaces as a typed
+/// `ReplyCount` naming that node and both counts. In the two-node
+/// jacobi, node 0's first batch travels in a wave that also carries a
+/// batch for node 1, so node 0's reply — read first — fails while node
+/// 1's reply is still in flight: the coordinator must return without
+/// reading it and tear the fleet down without hanging.
+#[test]
+fn short_reply_yields_typed_reply_count() {
+    let _g = ENV_LOCK.lock().unwrap();
+    if !fgdsm::hpf::tcp_available() {
+        eprintln!("notice: sandbox forbids sockets; skipping short_reply_yields_typed_reply_count");
+        return;
+    }
+    let e = run_faulted(
+        NodeFault::ShortReplyAfterBatches(0),
+        0,
+        Duration::from_secs(30),
+    );
+    match e {
+        ExecError::Wire(WireError::ReplyCount { node, sent, got }) => {
+            assert_eq!(node, 0, "error must name the node that replied short");
+            assert_eq!(got + 1, sent, "the reply was exactly one frame short");
+        }
+        other => panic!("want Wire(ReplyCount {{ node: 0, .. }}), got {other:?}"),
     }
 }
 
