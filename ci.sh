@@ -15,24 +15,12 @@ cargo test -q --workspace
 # `[workspace]`), so the workspace run above never builds it: compile it
 # against the public API it pins and run its own offline tests.
 cargo test -q --manifest-path perfbench/Cargo.toml
-# Host-perf harness smoke: one timed run of the suite at tiny scale must
-# produce a parseable, full-matrix host_perf.json (written to a scratch
-# path so the committed bench-scale artifact is untouched), then the
-# smoke suite validates the committed artifact too.
-FGDSM_TEST=1 FGDSM_SCALE=1,8 FGDSM_BENCH_RUNS=1 FGDSM_BENCH_OUT=target/host_perf_smoke.json \
-    cargo run --release -q -p fgdsm-bench --bin host_perf
-cargo test -q -p fgdsm-bench --test host_perf_smoke
-# Perf gate, two halves. `smoke`: jacobi + pde at bench scale stretched
-# by factor 8 — the regime where per-superstep volume amortizes every
-# fixed threading cost, so threading wins on multi-core hosts and must
-# at least break even on single-core ones — fail if the threaded
-# median exceeds 1.2x the serial median. `trend`: the working
-# tree's committed host_perf.json must not regress its threads/serial
-# ratios by more than 1.25x against the artifact committed at HEAD
-# (missing or old-format previous artifacts are tolerated).
+# Perf gate: jacobi + pde at bench scale stretched by factor 8 — the
+# regime where per-superstep volume amortizes every fixed threading
+# cost, so threading wins on multi-core hosts and must at least break
+# even on single-core ones — fail if the threaded median exceeds 1.2x
+# the serial median.
 cargo run --release -q -p fgdsm-bench --bin perf_gate -- smoke
-git show HEAD:bench_results/host_perf.json > target/host_perf_prev.json 2>/dev/null || true
-cargo run --release -q -p fgdsm-bench --bin perf_gate -- trend target/host_perf_prev.json
 # Wire-seam gate: strict wire mode (every transfer enveloped and
 # decoded back — no shared-memory shortcut) must stay within 2x of the
 # fast path's serial sm_opt median on the same stretched problems.
@@ -100,11 +88,12 @@ if [ -n "$FGDSM_NET" ]; then
     grep -q "calibration" target/profile_tcp_smoke.txt
     unset FGDSM_NET
 fi
-# Perf-trend tracker: one tiny-scale metered sweep appended to a scratch
+# Perf-trend tracker, the one host-time harness: one tiny-scale sweep
+# (a row per app x {sm_unopt, sm_opt, mp, tcp}) appended to a scratch
 # JSONL (the committed bench-scale trend.jsonl is append-only and only
 # grows at landing time), then schema-validate both the scratch file and
-# the committed history. Samples strict-wire sm_opt when the sandbox
-# forbids sockets.
+# the committed history. Samples strict-wire sm_opt in place of tcp when
+# the sandbox forbids sockets.
 rm -f target/trend_smoke.jsonl
 FGDSM_TEST=1 FGDSM_TREND_RUNS=1 FGDSM_TREND_OUT=target/trend_smoke.jsonl \
     cargo run --release -q -p fgdsm-bench --bin perf_trend

@@ -83,7 +83,7 @@ pub fn suite(scale: Scale) -> Vec<AppSpec> {
 
 /// [`suite`] with each app's problem stretched so per-superstep (or
 /// total) work grows roughly linearly with `factor` — the `FGDSM_SCALE`
-/// axis of the host-perf harness. `factor == 1` is exactly [`suite`].
+/// axis read by [`scale_factor`]. `factor == 1` is exactly [`suite`].
 pub fn suite_scaled(scale: Scale, factor: usize) -> Vec<AppSpec> {
     vec![
         pde::spec(&pde::Params::at(scale).scaled(factor)),

@@ -1,18 +1,22 @@
 //! Perf-trend regression tracker: append-only, git-stamped wall-clock
 //! summaries so every PR's perf trajectory is *recorded* instead of
-//! overwritten.
+//! overwritten. The one host-time harness of the bench crate; the
+//! repository benchmark (`perfbench/`) is the per-layer authority.
 //!
-//! Each invocation runs the application suite once per app on the best
-//! available envelope path (the `tcp` backend when the sandbox allows
-//! sockets, strict-wire `sm_opt` otherwise) with telemetry on, and
-//! appends one JSONL row per app to `bench_results/trend.jsonl`
-//! (override the path with `FGDSM_TREND_OUT`): the git stamp, median
-//! host wall time over
-//! `FGDSM_TREND_RUNS` runs (default 3), the on-wire payload volume, and
-//! the p99 of the coordinator's per-batch wall-clock route histogram
-//! (`coord.route.batch`, one sample per socket batch). It then
-//! renders a PR-over-PR delta table comparing the newest git stamp
-//! against the previous one in the file.
+//! Each invocation runs the application suite once per (app, backend)
+//! with both superstep phases pinned serial, over `sm_unopt`, `sm_opt`
+//! and `mp` on the zero-copy fast path plus one envelope path (the
+//! `tcp` backend when the sandbox allows sockets, strict-wire `sm_opt`
+//! otherwise), and appends one JSONL row each to
+//! `bench_results/trend.jsonl` (override the path with
+//! `FGDSM_TREND_OUT`): the git stamp, the `FGDSM_SCALE` work-growth
+//! factor, median host wall time over `FGDSM_TREND_RUNS` runs (default
+//! 3), the on-wire payload volume, and the p99 of the coordinator's
+//! per-batch wall-clock route histogram (`coord.route.batch`, one sample
+//! per socket batch). Fast-path rows route nothing and carry no metrics
+//! registry, so both wire columns are 0 there. It then renders a
+//! PR-over-PR delta table comparing the newest git stamp against the
+//! previous one in the file.
 //!
 //! `perf_trend check` validates every line of the file against the row
 //! schema without running anything — the CI step that keeps the
@@ -22,16 +26,14 @@
 //!     cargo run --release -p fgdsm-bench --bin perf_trend -- check
 //!     FGDSM_TEST=1 FGDSM_TREND_OUT=/tmp/t.jsonl cargo run -p fgdsm-bench --bin perf_trend
 
-use fgdsm_bench::host_perf::{git_describe, refuse_dirty_tree};
+use fgdsm_apps::{scale_factor, suite_scaled};
 use fgdsm_bench::json::{self, ToJson, Value};
-use fgdsm_bench::{json_row, scale, scale_label};
-use fgdsm_hpf::{execute, ExecConfig};
+use fgdsm_bench::{json_row, scale, scale_label, NPROCS};
+use fgdsm_hpf::{execute, ExecConfig, WireMode};
 use fgdsm_testkit::Stopwatch;
 
-const NPROCS: usize = 8;
-
 json_row! {
-    /// One app's perf-trend sample. Appended, never rewritten: the file
+    /// One (app, backend) perf-trend sample. Appended, never rewritten: the file
     /// accumulates one group of rows per PR.
     #[derive(Clone)]
     struct TrendRow {
@@ -134,7 +136,7 @@ fn delta_table(rows: &[Value]) {
         prev.map(String::as_str).unwrap_or("(first sample)")
     );
     println!(
-        "{:<10} {:<8} {:>14} {:>9} {:>13} {:>9} {:>13} {:>9}",
+        "{:<10} {:<13} {:>14} {:>9} {:>13} {:>9} {:>13} {:>9}",
         "app", "backend", "wall_ns", "Δwall", "payload_B", "Δpayload", "route_p99_ns", "Δp99"
     );
     let field = |r: &Value, k: &str| r.get(k).and_then(Value::as_u64).unwrap();
@@ -152,7 +154,7 @@ fn delta_table(rows: &[Value]) {
                 .unwrap_or_else(|| "-".into())
         };
         println!(
-            "{:<10} {:<8} {:>14} {:>9} {:>13} {:>9} {:>13} {:>9}",
+            "{:<10} {:<13} {:>14} {:>9} {:>13} {:>9} {:>13} {:>9}",
             text(r, "app"),
             text(r, "backend"),
             field(r, "wall_ns"),
@@ -165,49 +167,77 @@ fn delta_table(rows: &[Value]) {
     }
 }
 
-/// Measure one trend row per app: median wall time of `runs` metered
-/// executions, plus the last run's wire payload and merged route-p99.
-fn measure(git: &str, runs: usize) -> Vec<TrendRow> {
-    let (backend, cfg) = if fgdsm_hpf::tcp_available() {
-        ("tcp", ExecConfig::tcp(NPROCS).metered())
+/// `git describe --always --dirty` of the working tree, or `unknown`
+/// outside a repository.
+fn git_describe() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The sampled backends, each pinned serial: the three in-process ones
+/// on the fast path, then the best available envelope path.
+fn backends() -> Vec<(&'static str, ExecConfig)> {
+    let fast = |mut cfg: ExecConfig| {
+        cfg.wire = WireMode::Fast;
+        cfg
+    };
+    let mut out = vec![
+        ("sm_unopt", fast(ExecConfig::sm_unopt(NPROCS))),
+        ("sm_opt", fast(ExecConfig::sm_opt(NPROCS))),
+        ("mp", fast(ExecConfig::mp(NPROCS))),
+    ];
+    if fgdsm_hpf::tcp_available() {
+        out.push(("tcp", ExecConfig::tcp(NPROCS)));
     } else {
         eprintln!("notice: sandbox forbids sockets; perf_trend samples strict-wire sm_opt");
-        (
-            "sm_opt/strict",
-            ExecConfig::sm_opt(NPROCS).strict().metered(),
-        )
-    };
-    let factor = std::env::var("FGDSM_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(1);
+        out.push(("sm_opt/strict", ExecConfig::sm_opt(NPROCS).strict()));
+    }
+    out.into_iter()
+        .map(|(name, cfg)| (name, cfg.serial().metered()))
+        .collect()
+}
+
+/// Measure one trend row per (app, backend): median wall time of `runs`
+/// metered executions, plus the last run's wire payload and merged
+/// route-p99.
+fn measure(git: &str, factor: usize, runs: usize) -> Vec<TrendRow> {
+    let backends = backends();
     let mut rows = Vec::new();
-    for spec in fgdsm_apps::suite(scale()) {
-        let mut samples = Vec::with_capacity(runs);
-        let mut last = None;
-        for _ in 0..runs {
-            let sw = Stopwatch::new();
-            let run = execute(&spec.program, &cfg);
-            samples.push(sw.elapsed_ns().max(1));
-            last = Some(run);
+    for spec in suite_scaled(scale(), factor) {
+        for (backend, cfg) in &backends {
+            let mut samples = Vec::with_capacity(runs);
+            let mut last = None;
+            for _ in 0..runs {
+                let sw = Stopwatch::new();
+                let run = execute(&spec.program, cfg);
+                samples.push(sw.elapsed_ns().max(1));
+                last = Some(run);
+            }
+            let run = last.expect("runs >= 1");
+            samples.sort_unstable();
+            // The coordinator's per-batch route histogram — the p99 a PR
+            // must not silently regress (0 when nothing was routed).
+            let route_p99_ns = run
+                .metrics()
+                .and_then(|reg| reg.hist("coord.route.batch"))
+                .map_or(0, |h| h.percentile(0.99));
+            rows.push(TrendRow {
+                git: git.to_string(),
+                app: spec.name.to_string(),
+                backend: backend.to_string(),
+                scale: factor as u64,
+                wall_ns: samples[samples.len() / 2],
+                wire_payload_bytes: run.wire_payload_bytes,
+                route_p99_ns,
+            });
         }
-        let run = last.unwrap();
-        samples.sort_unstable();
-        let reg = run.metrics().expect("metered run has a registry");
-        // The coordinator's per-batch route histogram — the p99 a PR
-        // must not silently regress (0 when nothing was routed).
-        let route_p99_ns = reg
-            .hist("coord.route.batch")
-            .map_or(0, |h| h.percentile(0.99));
-        rows.push(TrendRow {
-            git: git.to_string(),
-            app: spec.name.to_string(),
-            backend: backend.to_string(),
-            scale: factor,
-            wall_ns: samples[samples.len() / 2],
-            wire_payload_bytes: run.wire_payload_bytes,
-            route_p99_ns,
-        });
     }
     rows
 }
@@ -227,19 +257,21 @@ fn main() {
         .unwrap_or(3usize)
         .max(1);
     let git = git_describe();
-    if std::env::var("FGDSM_TREND_OUT").is_err() && refuse_dirty_tree(&git) {
+    // Committed rows must carry the provenance of a clean, reproducible
+    // tree; `FGDSM_TREND_OUT` redirects a dirty-tree run to a scratch file.
+    if std::env::var("FGDSM_TREND_OUT").is_err() && git.ends_with("-dirty") {
         eprintln!(
             "NOT appending to bench_results/trend.jsonl: working tree is dirty ({git}). \
-             Commit first, set FGDSM_TREND_OUT, or set FGDSM_BENCH_FORCE=1."
+             Commit first, or set FGDSM_TREND_OUT."
         );
         std::process::exit(1);
     }
+    let factor = scale_factor();
     println!(
-        "perf trend — {} — {} run(s) per app, {git}\n",
+        "perf trend — {} — scale factor {factor} — {runs} run(s) per (app, backend), {git}\n",
         scale_label(scale()),
-        runs
     );
-    let rows = measure(&git, runs);
+    let rows = measure(&git, factor, runs);
     let mut out = String::new();
     for r in &rows {
         out.push_str(&r.to_json());

@@ -33,30 +33,6 @@ pub fn scale_label(s: Scale) -> &'static str {
     }
 }
 
-/// Work-growth factors for the host-perf matrix, from `FGDSM_SCALE` as a
-/// comma-separated list (e.g. `FGDSM_SCALE=1,4,8`). Defaults to `[1, 8]`:
-/// the unscaled sizes plus the factor at which the threaded modes are
-/// required to win.
-pub fn scale_factors() -> Vec<usize> {
-    parse_scale_factors(std::env::var("FGDSM_SCALE").ok().as_deref())
-}
-
-fn parse_scale_factors(raw: Option<&str>) -> Vec<usize> {
-    let parsed: Vec<usize> = raw
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse::<usize>().ok())
-                .map(|f| f.max(1))
-                .collect()
-        })
-        .unwrap_or_default();
-    if parsed.is_empty() {
-        vec![1, 8]
-    } else {
-        parsed
-    }
-}
-
 /// All configurations of Figure 3 for one application.
 pub struct AppRuns {
     pub name: &'static str,
@@ -441,195 +417,6 @@ pub mod json {
     }
 }
 
-/// The host-performance harness: how much *wall-clock* time the simulator
-/// itself burns per application run, and what the threaded resolve/compute
-/// phases buy. This is the one harness that measures host nanoseconds —
-/// all other harnesses report deterministic virtual time. Results are
-/// summarized as nearest-rank p10/median/p90 over `runs` repetitions.
-pub mod host_perf {
-    use fgdsm_apps::Scale;
-    use fgdsm_hpf::{execute, ExecConfig, PoolMode};
-    use fgdsm_testkit::{summarize_ns, Stopwatch};
-
-    /// Resolve/compute parallelism modes measured per (app, backend):
-    /// `serial` — both phases on the main thread; `rthreads` — serial
-    /// compute with a threaded resolve apply stage (isolates the resolve-
-    /// phase parallelism); `threads` — both phases threaded.
-    pub const MODES: [&str; 3] = ["serial", "rthreads", "threads"];
-
-    crate::json_row! {
-        /// One (app, backend, scale-factor, parallelism-mode) host-time
-        /// measurement.
-        #[derive(Clone, Debug)]
-        pub struct HostPerfRow {
-            pub app: String,
-            pub backend: String,
-            pub par: String,
-            /// `FGDSM_SCALE` work-growth factor of the measured problem.
-            pub scale: u64,
-            /// Worker threads in the threaded stages (1 in `serial`).
-            pub threads: u64,
-            /// Worker strategy of the threaded stages: `persistent`
-            /// (reused pool), `scoped` (per-phase spawns), or `none`.
-            pub pool: String,
-            pub runs: u64,
-            pub median_ns: u64,
-            pub p10_ns: u64,
-            pub p90_ns: u64,
-            pub git_describe: String,
-        }
-    }
-
-    /// `git describe --always --dirty` of the working tree, or `unknown`
-    /// outside a repository.
-    pub fn git_describe() -> String {
-        std::process::Command::new("git")
-            .args(["describe", "--always", "--dirty"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".into())
-    }
-
-    /// Should a regeneration of the committed `bench_results` artifact be
-    /// refused? True when the working tree is dirty (`git describe` ends
-    /// in `-dirty`) and `FGDSM_BENCH_FORCE=1` is not set — committed
-    /// artifacts must carry the provenance of a clean, reproducible tree.
-    pub fn refuse_dirty_tree(git: &str) -> bool {
-        git.ends_with("-dirty") && !std::env::var("FGDSM_BENCH_FORCE").is_ok_and(|v| v == "1")
-    }
-
-    /// Measure the full 6-app × 4-backend × scale-factor × 3-mode matrix:
-    /// `runs` timed executions each, `workers` threads in the threaded
-    /// modes, one problem stretch per entry of `factors` (the
-    /// `FGDSM_SCALE` axis). The `tcp` backend rows time real socket
-    /// round-trips to spawned `fgdsm-node` processes; they are skipped
-    /// (with a notice) when the sandbox forbids sockets.
-    pub fn measure(
-        scale: Scale,
-        factors: &[usize],
-        runs: usize,
-        workers: usize,
-    ) -> Vec<HostPerfRow> {
-        assert!(runs >= 1, "need at least one run");
-        assert!(workers >= 2, "threaded modes need at least two workers");
-        assert!(!factors.is_empty(), "need at least one scale factor");
-        let git = git_describe();
-        let mut backends = vec![
-            ("sm_unopt", ExecConfig::sm_unopt(crate::NPROCS)),
-            ("sm_opt", ExecConfig::sm_opt(crate::NPROCS)),
-            ("mp", ExecConfig::mp(crate::NPROCS)),
-        ];
-        if fgdsm_hpf::tcp_available() {
-            backends.push(("tcp", ExecConfig::tcp(crate::NPROCS)));
-        } else {
-            eprintln!("notice: sandbox forbids sockets; host_perf measures no tcp rows");
-        }
-        let mut rows = Vec::new();
-        for &factor in factors {
-            for spec in fgdsm_apps::suite_scaled(scale, factor) {
-                for (backend, cfg) in &backends {
-                    for par in MODES {
-                        let cfg = match par {
-                            "serial" => cfg.clone().serial(),
-                            "rthreads" => cfg.clone().serial().resolve_threads(workers),
-                            _ => cfg.clone().threads(workers),
-                        };
-                        let pool = if par == "serial" {
-                            "none"
-                        } else if PoolMode::Auto.persistent() {
-                            "persistent"
-                        } else {
-                            "scoped"
-                        };
-                        let mut samples = Vec::with_capacity(runs);
-                        for _ in 0..runs {
-                            let sw = Stopwatch::new();
-                            std::hint::black_box(execute(&spec.program, &cfg));
-                            // Clamp to 1ns so a coarse clock can't record
-                            // an (impossible) zero-cost run.
-                            samples.push(sw.elapsed_ns().max(1));
-                        }
-                        let (p10, median, p90) = summarize_ns(&samples);
-                        rows.push(HostPerfRow {
-                            app: spec.name.to_string(),
-                            backend: backend.to_string(),
-                            par: par.to_string(),
-                            scale: factor as u64,
-                            threads: if par == "serial" { 1 } else { workers as u64 },
-                            pool: pool.to_string(),
-                            runs: runs as u64,
-                            median_ns: median,
-                            p10_ns: p10,
-                            p90_ns: p90,
-                            git_describe: git.clone(),
-                        });
-                    }
-                }
-            }
-        }
-        rows
-    }
-
-    /// Render the serial-vs-parallel-resolve speedup table: one line per
-    /// (app, backend, scale), median host time serial vs `rthreads` vs
-    /// `threads`.
-    pub fn speedup_table(rows: &[HostPerfRow]) -> String {
-        use std::fmt::Write;
-        let median = |app: &str, backend: &str, scale: u64, par: &str| {
-            rows.iter()
-                .find(|r| r.app == app && r.backend == backend && r.scale == scale && r.par == par)
-                .map(|r| r.median_ns)
-        };
-        let mut out = String::new();
-        writeln!(
-            out,
-            "{:<10} {:<9} {:>5} {:>12} {:>12} {:>12} {:>9} {:>9}",
-            "app",
-            "backend",
-            "scale",
-            "serial_ns",
-            "rthreads_ns",
-            "threads_ns",
-            "rspeedup",
-            "tspeedup"
-        )
-        .unwrap();
-        let mut seen = Vec::new();
-        for r in rows {
-            let key = (r.app.clone(), r.backend.clone(), r.scale);
-            if seen.contains(&key) {
-                continue;
-            }
-            seen.push(key);
-            let (Some(s), Some(rt), Some(t)) = (
-                median(&r.app, &r.backend, r.scale, "serial"),
-                median(&r.app, &r.backend, r.scale, "rthreads"),
-                median(&r.app, &r.backend, r.scale, "threads"),
-            ) else {
-                continue;
-            };
-            writeln!(
-                out,
-                "{:<10} {:<9} {:>5} {:>12} {:>12} {:>12} {:>8.2}x {:>8.2}x",
-                r.app,
-                r.backend,
-                r.scale,
-                s,
-                rt,
-                t,
-                s as f64 / rt as f64,
-                s as f64 / t as f64
-            )
-            .unwrap();
-        }
-        out
-    }
-}
-
 /// Declare a benchmark row struct together with a [`json::ToJson`] impl
 /// that emits its fields, in declaration order, as a JSON object.
 #[macro_export]
@@ -712,16 +499,6 @@ mod tests {
     fn pct_reduction_basic() {
         assert_eq!(pct_reduction(10.0, 5.0), 50.0);
         assert_eq!(pct_reduction(0.0, 5.0), 0.0);
-    }
-
-    #[test]
-    fn parse_scale_factors_handles_lists_and_junk() {
-        assert_eq!(parse_scale_factors(None), vec![1, 8]);
-        assert_eq!(parse_scale_factors(Some("")), vec![1, 8]);
-        assert_eq!(parse_scale_factors(Some("junk")), vec![1, 8]);
-        assert_eq!(parse_scale_factors(Some("4")), vec![4]);
-        assert_eq!(parse_scale_factors(Some("1, 4 ,8")), vec![1, 4, 8]);
-        assert_eq!(parse_scale_factors(Some("0,2")), vec![1, 2]);
     }
 
     #[test]

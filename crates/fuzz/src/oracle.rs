@@ -139,27 +139,18 @@ pub fn check_spec(spec: &FuzzSpec) -> Result<(), Divergence> {
     let mut smopt_full_serial: Option<(String, String, String)> = None;
     for (name, cfg) in backend_configs(spec) {
         // (report JSON, trace JSON, profile JSON) of the serial run — the
-        // determinism baseline for this backend's threaded runs. The
-        // threaded modes force the persistent worker pool on (size 2 and
-        // 4); `scoped2` runs the same 2-worker schedule through the
-        // per-phase `thread::scope` fallback, so both worker strategies
-        // are fuzzed against the serial baseline bit-for-bit.
+        // determinism baseline for this backend's threaded runs, which
+        // dispatch on the persistent worker pool (size 2 and 4).
         let mut baseline: Option<(String, String, String)> = None;
-        for (mode, workers) in [
-            ("serial", 1usize),
-            ("threads2", 2),
-            ("threads4", 4),
-            ("scoped2", 2),
-        ] {
+        for (mode, workers) in [("serial", 1usize), ("threads2", 2), ("threads4", 4)] {
             // Telemetry is forced on: canonical artifacts are pinned
             // byte-identical metrics on/off elsewhere, so metering every
             // oracle run costs nothing observable — and it lets the
             // per-case conservation invariant below (and its
             // `undercount_metrics` must-catch) fire on every wire config.
-            let cfg = match (mode, workers) {
-                (_, 1) => cfg.clone().serial(),
-                ("scoped2", w) => cfg.clone().threads(w).scoped(),
-                (_, w) => cfg.clone().threads(w).pooled(),
+            let cfg = match workers {
+                1 => cfg.clone().serial(),
+                w => cfg.clone().threads(w),
             }
             .metered()
             .with_inject(spec.inject);

@@ -155,17 +155,18 @@ impl ContractTracker {
             CtlOp::MkWritable { owner, first, end } => {
                 for b in first..end {
                     let st = &mut self.blocks[b];
-                    if st.windows & !bit(owner) != 0 {
+                    // Any open window blocks it, the new owner's own
+                    // included: that window's tag is already ReadWrite,
+                    // so the transition would fetch no data and promote
+                    // a possibly-stale window copy to the exclusive one.
+                    if st.windows != 0 {
                         return Err(format!(
-                            "mk_writable(owner={owner}) on block {b} while a foreign \
-                             window is open (mask {:#x})",
+                            "mk_writable(owner={owner}) on block {b} while a window is \
+                             open (mask {:#x})",
                             st.windows
                         ));
                     }
                     st.owner = Some(owner);
-                    // Taking ownership subsumes the node's own window.
-                    st.windows &= !bit(owner);
-                    st.dirty &= !bit(owner);
                 }
                 Ok(())
             }
@@ -455,6 +456,14 @@ mod tests {
         c.step(CtlOp::Release).unwrap();
         // §4.3: the window survived the flush.
         assert!(c.window_open(0, 1));
+        // So it still blocks mk_writable, even by its own holder.
+        assert!(c
+            .step(CtlOp::MkWritable {
+                owner: 1,
+                first: 0,
+                end: 1
+            })
+            .is_err());
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //!   changes a report or trace byte.
 //! * **Compute phase** ([`compute_phase`]): each node's kernel runs
 //!   against its own [`NodeShard`] with zero cross-node access, so the
-//!   driver may dispatch the shards across [`std::thread::scope`]
-//!   workers. Every charge, event and memory write in this phase is
-//!   shard-local and its cost is a pure function of the loop analysis,
-//!   so the schedule cannot perturb the virtual-time results: serial and
-//!   threaded runs are byte-identical.
+//!   driver may dispatch the shards across the run's persistent
+//!   [`WorkerPool`]. Every charge, event and memory write in this phase
+//!   is shard-local and its cost is a pure function of the loop
+//!   analysis, so the schedule cannot perturb the virtual-time results:
+//!   serial and threaded runs are byte-identical.
 //!
 //! Afterwards the backend observes writes, performs the reduction, runs
 //! `post_loop`, and the driver stamps a superstep boundary into the event
@@ -482,10 +482,9 @@ pub(super) fn run(
     let mut core = EngineCore::new(prog, cfg);
     // Persistent worker pool: spawned once here, reused by every
     // superstep's compute phase and resolve-apply waves. Skipped when
-    // both phases are pinned serial, or when `PoolMode` asks for the
-    // legacy scoped-thread spawns.
+    // both phases are pinned serial.
     let pool_workers = core.workers.max(core.resolve_workers);
-    if pool_workers > 1 && cfg.pool.persistent() {
+    if pool_workers > 1 {
         core.dsm
             .cluster
             .set_worker_pool(Some(Arc::new(WorkerPool::new(pool_workers))));
@@ -676,11 +675,11 @@ fn exec_par(core: &mut EngineCore, backend: &mut dyn CommBackend, l: &ParLoop) {
 /// The compute phase of one superstep: run each node's kernel against
 /// that node's shard, charging the (analysis-determined) compute cost to
 /// the shard's clock. Per-node work touches only `&mut NodeShard` plus
-/// shared immutable state, so the shards can be split across workers —
-/// the installed persistent [`WorkerPool`] when one exists, scoped
-/// threads otherwise. Contiguous chunking keeps each shard on exactly
-/// one worker and per-shard state makes the outcome independent of the
-/// schedule — the serial path below produces byte-identical traces.
+/// shared immutable state, so the shards can be split across the run's
+/// persistent [`WorkerPool`]. Contiguous chunking keeps each shard on
+/// exactly one worker and per-shard state makes the outcome independent
+/// of the schedule — the serial path below produces byte-identical
+/// traces.
 /// Loops below [`PAR_COMPUTE_MIN_POINTS`] total iterations run serially
 /// regardless: waking workers would cost more than the kernels.
 fn compute_phase(
@@ -740,41 +739,27 @@ fn compute_phase(
             }
         })
         .sum();
-    let pool = dsm.cluster.worker_pool().cloned();
-    let shards = dsm.cluster.shards_mut();
     let mut workers = (*workers).min(nprocs).max(1);
     if total_points < PAR_COMPUTE_MIN_POINTS {
         workers = 1;
     }
-    if workers > 1 {
+    let pool = (workers > 1).then(|| dsm.cluster.worker_pool(workers));
+    let shards = dsm.cluster.shards_mut();
+    if let Some(pool) = pool {
         let chunk = nprocs.div_ceil(workers);
         let run_node = &run_node;
-        if let Some(pool) = &pool {
-            let jobs: Vec<Job> = shards
-                .chunks_mut(chunk)
-                .zip(partials.chunks_mut(chunk))
-                .map(|(shard_chunk, partial_chunk)| {
-                    Box::new(move || {
-                        for (sh, partial) in shard_chunk.iter_mut().zip(partial_chunk.iter_mut()) {
-                            run_node(sh, partial);
-                        }
-                    }) as Job
-                })
-                .collect();
-            pool.run(jobs);
-        } else {
-            std::thread::scope(|s| {
-                for (shard_chunk, partial_chunk) in
-                    shards.chunks_mut(chunk).zip(partials.chunks_mut(chunk))
-                {
-                    s.spawn(move || {
-                        for (sh, partial) in shard_chunk.iter_mut().zip(partial_chunk.iter_mut()) {
-                            run_node(sh, partial);
-                        }
-                    });
-                }
-            });
-        }
+        let jobs: Vec<Job> = shards
+            .chunks_mut(chunk)
+            .zip(partials.chunks_mut(chunk))
+            .map(|(shard_chunk, partial_chunk)| {
+                Box::new(move || {
+                    for (sh, partial) in shard_chunk.iter_mut().zip(partial_chunk.iter_mut()) {
+                        run_node(sh, partial);
+                    }
+                }) as Job
+            })
+            .collect();
+        pool.run(jobs);
     } else {
         for (sh, partial) in shards.iter_mut().zip(partials.iter_mut()) {
             run_node(sh, partial);

@@ -38,9 +38,9 @@
 //! over disjoint shard pairs, folding shared state in plan index order.
 //! The **compute phase** then runs each node's kernel against that
 //! node's own [`fgdsm_tempest::NodeShard`] only — zero cross-node access
-//! — dispatched across real threads ([`std::thread::scope`]). Neither
-//! phase's threading changes a single virtual-time charge: serial and
-//! parallel runs produce byte-identical reports and traces.
+//! — dispatched across a persistent [`fgdsm_tempest::WorkerPool`].
+//! Neither phase's threading changes a single virtual-time charge:
+//! serial and parallel runs produce byte-identical reports and traces.
 //! [`ParallelMode`] / the `FGDSM_PAR` env var select the worker count
 //! for both phases ([`ExecConfig::resolve_parallel`] can pin the resolve
 //! phase separately).
@@ -184,7 +184,7 @@ pub enum ParallelMode {
     Auto,
     /// Run everything on the driver thread, one node at a time.
     Serial,
-    /// Spawn up to `n` scoped worker threads per phase.
+    /// Dispatch each phase across up to `n` persistent pool workers.
     Threads(usize),
 }
 
@@ -204,37 +204,15 @@ impl ParallelMode {
     }
 }
 
-/// How worker threads are provisioned when a phase runs parallel.
-/// Wall-clock only — the pool and scoped paths dispatch and fold the
-/// identical deterministic work items.
+/// How worker threads are provisioned when a phase runs parallel. The
+/// persistent [`fgdsm_tempest::WorkerPool`] is the only strategy; the
+/// enum stays for callers that pin it explicitly.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PoolMode {
-    /// Honor the `FGDSM_POOL` env var (`0` or `scoped` → scoped threads);
-    /// defaults to the persistent pool.
-    #[default]
-    Auto,
     /// One long-lived [`fgdsm_tempest::WorkerPool`] per `execute`, shared
     /// by the compute phase and the resolve phase's apply waves.
+    #[default]
     Persistent,
-    /// Legacy behavior: fresh [`std::thread::scope`] spawns per phase.
-    Scoped,
-}
-
-impl PoolMode {
-    /// Whether a persistent pool should be created for this run.
-    pub fn persistent(self) -> bool {
-        match self {
-            PoolMode::Persistent => true,
-            PoolMode::Scoped => false,
-            PoolMode::Auto => match std::env::var("FGDSM_POOL") {
-                Ok(v) => {
-                    let v = v.trim();
-                    !(v == "0" || v.eq_ignore_ascii_case("scoped"))
-                }
-                Err(_) => true,
-            },
-        }
-    }
 }
 
 /// A full execution configuration.
@@ -257,8 +235,8 @@ pub struct ExecConfig {
     /// `parallel`. Lets tests pin serial resolve against threaded compute
     /// (and vice versa) in one run.
     pub resolve_parallel: Option<ParallelMode>,
-    /// Worker provisioning for parallel phases: persistent pool vs fresh
-    /// scoped threads (wall-clock only; never affects results).
+    /// Worker provisioning for parallel phases (always the persistent
+    /// pool; wall-clock only, never affects results).
     pub pool: PoolMode,
     /// Wire discipline for inter-node data movement: zero-copy fast path
     /// or strict envelope round-tripping (`FGDSM_WIRE=strict`). The
@@ -359,7 +337,7 @@ impl ExecConfig {
             base_env: Env::new(),
             parallel: ParallelMode::Auto,
             resolve_parallel: None,
-            pool: PoolMode::Auto,
+            pool: PoolMode::Persistent,
             wire: WireMode::Auto,
             metrics: MetricsMode::Auto,
             inject: InjectConfig::default(),
@@ -421,7 +399,7 @@ impl ExecConfig {
         self
     }
 
-    /// Dispatch both superstep phases across up to `n` scoped threads.
+    /// Dispatch both superstep phases across up to `n` pool workers.
     pub fn threads(mut self, n: usize) -> Self {
         self.parallel = ParallelMode::Threads(n);
         self
@@ -434,23 +412,17 @@ impl ExecConfig {
         self
     }
 
-    /// Dispatch the resolve phase's apply stage across up to `n` scoped
-    /// threads, leaving the compute phase on `parallel`.
+    /// Dispatch the resolve phase's apply stage across up to `n` pool
+    /// workers, leaving the compute phase on `parallel`.
     pub fn resolve_threads(mut self, n: usize) -> Self {
         self.resolve_parallel = Some(ParallelMode::Threads(n));
         self
     }
 
-    /// Provision parallel phases from one persistent worker pool.
+    /// Pin the persistent worker pool (the only strategy and already
+    /// the default).
     pub fn pooled(mut self) -> Self {
         self.pool = PoolMode::Persistent;
-        self
-    }
-
-    /// Provision parallel phases with fresh scoped threads per phase
-    /// (the pre-pool behavior).
-    pub fn scoped(mut self) -> Self {
-        self.pool = PoolMode::Scoped;
         self
     }
 

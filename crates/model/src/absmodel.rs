@@ -477,13 +477,6 @@ impl AbsState {
                 if self.tag[b][o] == Access::ReadWrite && self.dir[b].is_excl_by(o) {
                     return Ok(None); // idempotent no-op: skip the self-loop
                 }
-                // A node with its *own* window still open must close it
-                // first: its tag is already ReadWrite, so the transition
-                // would fetch no data and promote a possibly-stale window
-                // copy to the authoritative one.
-                if self.windows[b] & bit(o) != 0 {
-                    return Ok(None);
-                }
                 if self
                     .tracker()
                     .step(CtlOp::MkWritable {
@@ -516,9 +509,6 @@ impl AbsState {
                 }
                 st.tag[b][o] = Access::ReadWrite;
                 st.dir[b] = eff.next;
-                // Ownership subsumes the node's own window.
-                st.windows[b] &= !bit(o);
-                st.ww[b][o] = 0;
                 Ok(Some(st))
             }
             Op::ImplicitWritable { r, b } => {

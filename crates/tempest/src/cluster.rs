@@ -115,9 +115,9 @@ pub struct Cluster {
     /// Accumulating profile artifacts: superstep interval snapshots and
     /// false-sharing flags (see [`crate::profile`]).
     profile: ProfileState,
-    /// Persistent worker pool for [`Cluster::apply_pairwise`] waves,
-    /// installed by the executor once per run ([`Cluster::set_worker_pool`]).
-    /// `None` falls back to per-wave [`std::thread::scope`] spawns.
+    /// Persistent worker pool for [`Cluster::apply_pairwise`] waves and
+    /// the executor's compute phase, installed once per run
+    /// ([`Cluster::set_worker_pool`]) or spawned on first threaded use.
     pool: Option<Arc<WorkerPool>>,
 }
 
@@ -181,16 +181,19 @@ impl Cluster {
 
     /// Install (or clear) the persistent worker pool used by
     /// [`Cluster::apply_pairwise`]. The executor creates one pool per
-    /// `execute` and installs it here so every superstep's apply waves
-    /// run on the same parked workers instead of fresh scoped threads.
+    /// `execute`, sized for its widest phase, and installs it here so
+    /// every superstep's apply waves run on the same parked workers.
     pub fn set_worker_pool(&mut self, pool: Option<Arc<WorkerPool>>) {
         self.pool = pool;
     }
 
-    /// The installed worker pool, if any (shared with the engine's
-    /// compute phase).
-    pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
+    /// The installed worker pool, spawned with `workers` threads on first
+    /// use when none is installed (direct `Dsm` callers that never set
+    /// one up stay threaded) and kept for every later call.
+    pub fn worker_pool(&mut self, workers: usize) -> Arc<WorkerPool> {
+        self.pool
+            .get_or_insert_with(|| Arc::new(WorkerPool::new(workers)))
+            .clone()
     }
 
     // ------------------------------------------------------------------
@@ -292,11 +295,12 @@ impl Cluster {
     /// `wave[i]` is one past the last wave of any earlier pair sharing a
     /// node with pair `i`, so any two pairs that touch a common shard
     /// always execute in index order with a join between them, while
-    /// node-disjoint pairs within a wave run concurrently on
-    /// [`std::thread::scope`] threads. Because `f` is pair-local, every
-    /// shard observes exactly the effect sequence of a serial index-order
-    /// execution — serial and threaded apply produce byte-identical
-    /// clocks, counters and trace streams by construction.
+    /// node-disjoint pairs within a wave run concurrently on the
+    /// persistent [`WorkerPool`] ([`Cluster::worker_pool`]). Because `f`
+    /// is pair-local, every shard observes exactly the effect sequence
+    /// of a serial index-order execution — serial and threaded apply
+    /// produce byte-identical clocks, counters and trace streams by
+    /// construction.
     pub fn apply_pairwise<O, F>(
         &mut self,
         pairs: &[(NodeId, NodeId)],
@@ -340,9 +344,9 @@ impl Cluster {
             last_wave[a] = Some(w);
             last_wave[b] = Some(w);
         }
-        // Clone the pool handle up front so the wave loop's raw shard
+        // Take the pool handle up front so the wave loop's raw shard
         // borrows don't conflict with a borrow of `self.pool`.
-        let pool = self.pool.clone();
+        let pool = self.worker_pool(workers);
         let mut outcomes: Vec<Option<O>> = (0..pairs.len()).map(|_| None).collect();
         for wave in waves {
             if wave.len() == 1 {
@@ -377,43 +381,23 @@ impl Cluster {
                 chunks[k % nchunks].push(job);
             }
             let f = &f;
-            let done: Vec<Vec<(usize, O)>> = if let Some(pool) = &pool {
-                // Persistent-pool path: one job per chunk, each writing a
-                // private slot; `run` blocks until the wave completes, so
-                // the shard borrows stay contained (scoped-batch
-                // contract, see `crate::pool`).
-                let mut slots: Vec<Vec<(usize, O)>> =
-                    (0..chunks.len()).map(|_| Vec::new()).collect();
-                let batch: Vec<Job> = chunks
-                    .into_iter()
-                    .zip(slots.iter_mut())
-                    .map(|(chunk, slot)| {
-                        Box::new(move || {
-                            *slot = chunk
-                                .into_iter()
-                                .map(|(i, sa, sb)| (i, f(i, sa, sb)))
-                                .collect();
-                        }) as Job
-                    })
-                    .collect();
-                pool.run(batch);
-                slots
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|chunk| {
-                            s.spawn(move || {
-                                chunk
-                                    .into_iter()
-                                    .map(|(i, sa, sb)| (i, f(i, sa, sb)))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+            // One job per chunk, each writing a private slot; `run` blocks
+            // until the wave completes, so the shard borrows stay
+            // contained (scoped-batch contract, see `crate::pool`).
+            let mut done: Vec<Vec<(usize, O)>> = (0..chunks.len()).map(|_| Vec::new()).collect();
+            let batch: Vec<Job> = chunks
+                .into_iter()
+                .zip(done.iter_mut())
+                .map(|(chunk, slot)| {
+                    Box::new(move || {
+                        *slot = chunk
+                            .into_iter()
+                            .map(|(i, sa, sb)| (i, f(i, sa, sb)))
+                            .collect();
+                    }) as Job
                 })
-            };
+                .collect();
+            pool.run(batch);
             for (i, o) in done.into_iter().flatten() {
                 outcomes[i] = Some(o);
             }
@@ -1120,12 +1104,12 @@ mod tests {
         assert_eq!(c1.trace_json(), c4.trace_json());
     }
 
-    /// The persistent-pool path must be indistinguishable from both the
-    /// serial path and the scoped-thread path — same outcomes, clocks,
-    /// stats, memory and trace bytes — across repeated calls reusing the
-    /// same pool (the per-superstep reuse pattern).
+    /// An installed persistent pool must be indistinguishable from the
+    /// serial path — same outcomes, clocks, stats, memory and trace
+    /// bytes — across repeated calls reusing the same pool (the
+    /// per-superstep reuse pattern).
     #[test]
-    fn apply_pairwise_pool_matches_scoped_and_serial() {
+    fn apply_pairwise_pool_matches_serial() {
         let pairs = [(0, 1), (2, 3), (1, 2), (4, 5), (0, 4), (3, 5), (2, 3)];
         let run = |workers: usize, pool: bool| {
             let mut c = small_cluster(6);
@@ -1153,13 +1137,11 @@ mod tests {
             (all, c)
         };
         let (o_serial, c_serial) = run(1, false);
-        let (o_scoped, c_scoped) = run(4, false);
         let (o_pool, c_pool) = run(4, true);
-        assert_eq!(o_serial, o_scoped);
         assert_eq!(o_serial, o_pool, "pool outcomes in pair index order");
         for n in 0..6 {
             assert_eq!(c_serial.clock_ns(n), c_pool.clock_ns(n));
-            assert_eq!(c_scoped.stats(n), c_pool.stats(n));
+            assert_eq!(c_serial.stats(n), c_pool.stats(n));
             assert_eq!(c_serial.node_mem(n), c_pool.node_mem(n));
         }
         assert_eq!(c_serial.trace_json(), c_pool.trace_json());

@@ -4,7 +4,7 @@
 //! The simulator's canonical artifacts (report, trace, profile) are pure
 //! functions of *virtual* time and must stay byte-identical run-over-run;
 //! host nanoseconds may only ever appear in clearly wall-clock side
-//! channels (`wall_ns`, `wire_route_ns`, host_perf). This module is that
+//! channels (`wall_ns`, `wire_route_ns`, perf_trend). This module is that
 //! side channel grown into a real instrument: per-`WireMsg`-class latency
 //! histograms recorded on both sides of a socket, merged under node-tagged
 //! keys, and exported as deterministic JSON (deterministic in *shape* —

@@ -1,12 +1,11 @@
 //! A persistent worker pool for the executor's two threaded phases.
 //!
-//! PR-2/PR-4 dispatched the compute phase and the resolve phase's apply
-//! waves onto fresh [`std::thread::scope`] threads — a spawn/join cycle
-//! per superstep (and per wave), whose ~10–50 µs cost dwarfed the work on
-//! all but the largest grids and made `FGDSM_PAR` a net loss. The
-//! [`WorkerPool`] here is the DART-style fix: spawn the workers **once
-//! per execution**, park them on a `Condvar`, and hand every subsequent
-//! batch of phase jobs to the already-running threads.
+//! Fresh scoped threads per phase would pay a spawn/join cycle per
+//! superstep (and per apply wave), whose ~10–50 µs cost dwarfs the work
+//! on all but the largest grids. The [`WorkerPool`] here is the
+//! DART-style alternative and the only threaded path: spawn the workers
+//! **once per execution**, park them on a `Condvar`, and hand every
+//! subsequent batch of phase jobs to the already-running threads.
 //!
 //! Std-only by design (`Mutex` + `Condvar` job queue, no crossbeam): the
 //! repo bakes in no extra dependencies.
