@@ -144,7 +144,25 @@ fn candidates(spec: &FuzzSpec) -> Vec<FuzzSpec> {
         }
     }
 
+    // An edit that unwraps the time loop or moves a statement out of its
+    // span must not leave a loop reading the now unbound time variable.
+    for s in &mut out {
+        clear_stray_use_t(s);
+    }
     out
+}
+
+/// Clear `use_t` on every loop outside the time span: only loops inside
+/// it may read the time variable (the invariant `gen_spec` establishes).
+fn clear_stray_use_t(spec: &mut FuzzSpec) {
+    let span = spec.time.map_or(0..0, |(lo, hi, _)| lo..hi);
+    for (i, st) in spec.body.iter_mut().enumerate() {
+        if let FStmt::Loop(l) = st {
+            if !span.contains(&i) {
+                l.use_t = false;
+            }
+        }
+    }
 }
 
 /// Greedily minimize `spec`, which must currently diverge; returns the
@@ -159,5 +177,36 @@ pub fn shrink(spec: &FuzzSpec) -> FuzzSpec {
             }
         }
         return cur;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{case_seed, gen_spec};
+    use fgdsm_hpf::{execute_reference, ExecConfig};
+    use fgdsm_testkit::{Rng, BASE_SEED};
+
+    /// Every candidate edit is a valid spec: its program builds and the
+    /// reference interpreter runs it. A candidate that left a time-reading
+    /// loop outside the time span used to panic here ("unbound symbolic
+    /// `t`") and took the shrinker down with it — first seen shrinking
+    /// `case_seed(0x5EED, 119)`, which is checked too.
+    #[test]
+    fn every_candidate_runs_on_the_reference() {
+        let seeds = (0..100).map(|case| case_seed(BASE_SEED, case));
+        for seed in seeds.chain([case_seed(0x5EED, 119)]) {
+            let spec = gen_spec(&mut Rng::new(seed), seed);
+            for cand in candidates(&spec) {
+                let run = std::panic::catch_unwind(|| {
+                    execute_reference(&cand.build(), &ExecConfig::sm_unopt(cand.nprocs))
+                });
+                assert!(
+                    run.is_ok(),
+                    "seed {seed:#x}: candidate fails on the reference:\n{}",
+                    cand.to_rust()
+                );
+            }
+        }
     }
 }

@@ -91,14 +91,25 @@ pub struct EngineCore<'p> {
     /// Recycled compute-phase reduction slots, one padded cache line per
     /// node so concurrent workers' stores never share a line.
     partials_scratch: Vec<CacheAligned<f64>>,
-    /// Recycled per-node covering-block buffers for `resolve_default`
-    /// (write covers, read covers) — reused across supersteps with their
-    /// capacity intact.
-    cover_scratch: (CoverScratch, CoverScratch),
+    /// Default-protocol block covers of the loops whose covers cannot
+    /// change within a run (static, no indirect reference), keyed by
+    /// loop address like `analysis_cache` and shared by `Rc` so a hit
+    /// costs no copy.
+    cover_cache: BTreeMap<usize, Rc<Covers>>,
+    /// Recycled covers for the loops `cover_cache` cannot serve — reused
+    /// across supersteps with their buffers' capacity intact.
+    cover_scratch: Covers,
 }
 
-/// Per-node `(first, end)` covering-block buffers, one vector per node.
-type CoverScratch = Vec<Vec<(usize, usize)>>;
+/// One loop's default-protocol block covers: per node, the merged
+/// `(first, end)` block ranges it writes and reads, and the blocks that
+/// need the multiple-writer (twin/diff) path.
+#[derive(Default, Debug, PartialEq)]
+struct Covers {
+    wcover: Vec<Vec<(usize, usize)>>,
+    rcover: Vec<Vec<(usize, usize)>>,
+    multi: BTreeSet<usize>,
+}
 
 /// Allocate every program array into a fresh page-aligned segment layout.
 /// Shared by the engine and the sequential reference interpreter so both
@@ -228,7 +239,8 @@ impl<'p> EngineCore<'p> {
             cur_loop: NO_LOOP,
             planned: Vec::new(),
             partials_scratch: Vec::new(),
-            cover_scratch: (Vec::new(), Vec::new()),
+            cover_cache: BTreeMap::new(),
+            cover_scratch: Covers::default(),
         }
     }
 
@@ -287,15 +299,56 @@ impl<'p> EngineCore<'p> {
     /// accessible before kernels run, counting faults. Sub-phases: all
     /// nodes' writes (with multi-writer detection for false-shared
     /// boundary blocks), then all nodes' reads.
-    #[allow(clippy::needless_range_loop)] // per-node loops index several parallel vecs
+    ///
+    /// The block covers are a pure function of the loop and its analysis
+    /// unless the loop is symbolic (its sections move with the
+    /// environment) or gathers through an index array (the inspector
+    /// reads node memory). Every other loop builds them once per run and
+    /// replays them from `cover_cache` on each later superstep; the
+    /// uncached loops rebuild them into the recycled `cover_scratch`.
     pub fn resolve_default(&mut self, l: &ParLoop, acc: &LoopAccess) {
+        let key = l as *const ParLoop as usize;
+        if let Some(hit) = self.cover_cache.get(&key).cloned() {
+            // Debug builds prove the cache is never stale: every hit is
+            // checked against a fresh build.
+            #[cfg(debug_assertions)]
+            {
+                let mut fresh = Covers::default();
+                self.build_covers(l, acc, &mut fresh);
+                assert_eq!(fresh, *hit, "stale cached covers for loop `{}`", l.name);
+            }
+            self.fault_in(&hit);
+            return;
+        }
+        if l.is_static() && !l.refs.iter().any(|r| r.is_indirect()) {
+            let mut covers = Covers::default();
+            self.build_covers(l, acc, &mut covers);
+            let covers = Rc::new(covers);
+            self.cover_cache.insert(key, covers.clone());
+            self.fault_in(&covers);
+        } else {
+            // Recycled across supersteps (taken out of `self` so the
+            // `&mut self` calls below can borrow it; restored after).
+            let mut covers = std::mem::take(&mut self.cover_scratch);
+            self.build_covers(l, acc, &mut covers);
+            self.fault_in(&covers);
+            self.cover_scratch = covers;
+        }
+    }
+
+    /// Build one loop's default-protocol block covers into `out`,
+    /// reusing its buffers' capacity: per node, the merged covering block
+    /// ranges of its writes and reads, then the boundary blocks that need
+    /// the multiple-writer path.
+    #[allow(clippy::needless_range_loop)] // per-node loops index several parallel vecs
+    fn build_covers(&mut self, l: &ParLoop, acc: &LoopAccess, out: &mut Covers) {
         let nprocs = self.cfg.nprocs;
         let wpb = self.wpb;
-        // Per node: merged covering block ranges for writes and reads.
-        // Recycled across supersteps (taken out of `self` so the borrow
-        // checker allows the `&self` helper calls below; restored at the
-        // end of the function, which has no early returns).
-        let (mut wcover, mut rcover) = std::mem::take(&mut self.cover_scratch);
+        let Covers {
+            wcover,
+            rcover,
+            multi,
+        } = out;
         wcover.resize_with(nprocs, Vec::new);
         rcover.resize_with(nprocs, Vec::new);
         // Boundary candidates: the first and last block of every raw write
@@ -361,29 +414,31 @@ impl<'p> EngineCore<'p> {
             let idx = ranges.partition_point(|&(_, e)| e <= b);
             idx < ranges.len() && ranges[idx].0 <= b
         };
-        let multi: BTreeSet<usize> = candidates
-            .into_iter()
-            .filter(|&b| {
-                let writers: Vec<usize> =
-                    (0..nprocs).filter(|&p| contains(&wcover[p], b)).collect();
-                writers.len() >= 2
-                    || (writers.len() == 1
-                        && (0..nprocs).any(|p| p != writers[0] && contains(&rcover[p], b)))
-            })
-            .collect();
+        multi.clear();
+        multi.extend(candidates.into_iter().filter(|&b| {
+            let writers: Vec<usize> = (0..nprocs).filter(|&p| contains(&wcover[p], b)).collect();
+            writers.len() >= 2
+                || (writers.len() == 1
+                    && (0..nprocs).any(|p| p != writers[0] && contains(&rcover[p], b)))
+        }));
+    }
+
+    /// Service the faults a loop's covers describe: every node's writes,
+    /// then every node's reads.
+    fn fault_in(&mut self, covers: &Covers) {
         // Node visiting order for the sub-phases. Under the tolerated
         // `shuffle_resolve` perturbation the order is randomized per
         // superstep: the protocol contract must be insensitive to which
         // node faults first.
-        let mut order: Vec<usize> = (0..nprocs).collect();
+        let mut order: Vec<usize> = (0..self.cfg.nprocs).collect();
         if let Some(seed) = self.cfg.inject.shuffle_resolve {
             fgdsm_testkit::Rng::new(seed ^ self.supersteps).shuffle(&mut order);
         }
         // Sub-phase: writes.
         for &p in &order {
-            for &(f, e) in &wcover[p] {
+            for &(f, e) in &covers.wcover[p] {
                 for b in f..e {
-                    if multi.contains(&b) {
+                    if covers.multi.contains(&b) {
                         self.dsm.write_access_multi(p, b);
                     } else {
                         self.dsm.write_access_excl(p, b);
@@ -393,13 +448,12 @@ impl<'p> EngineCore<'p> {
         }
         // Sub-phase: reads.
         for &p in &order {
-            for &(f, e) in &rcover[p] {
+            for &(f, e) in &covers.rcover[p] {
                 for b in f..e {
                     self.dsm.read_access(p, b);
                 }
             }
         }
-        self.cover_scratch = (wcover, rcover);
     }
 
     /// Inspector for indirect references (`x(idx(i))`): enumerate the

@@ -314,6 +314,9 @@ impl Protocol for EagerInvalidate {
         // Untouched blocks are still in the initial state (home holds the
         // exclusive writable copy, everyone else Invalid), which satisfies
         // every arm below — so only traffic-touched blocks need scanning.
+        // The compiler-controlled windows are indexed once up front, so
+        // each excuse below is a binary search, not a scan of the memo.
+        let ctl = d.ctl_windows();
         for b in d.touched_blocks() {
             match d.dir_state(b) {
                 DirState::Excl { owner } => {
@@ -328,7 +331,7 @@ impl Protocol for EagerInvalidate {
                     }
                     for n in 0..d.cluster.nprocs() {
                         let t = d.cluster.tag(n, b);
-                        if n != owner && t == Access::ReadWrite && !d.is_ctl_block(n, b) {
+                        if n != owner && t == Access::ReadWrite && !ctl.contains(n, b) {
                             return Err(format!(
                                 "block {b}: node {n} is ReadWrite but directory says Excl({owner})"
                             ));
@@ -342,7 +345,7 @@ impl Protocol for EagerInvalidate {
                         // compiler-controlled reader keeps its ReadWrite
                         // tag between supersteps (§4.3) even after a
                         // third party's default read shares the block.
-                        if t == Access::ReadWrite && !d.is_ctl_block(n, b) {
+                        if t == Access::ReadWrite && !ctl.contains(n, b) {
                             return Err(format!(
                                 "block {b}: node {n} is ReadWrite but directory says Shared"
                             ));
@@ -360,5 +363,136 @@ impl Protocol for EagerInvalidate {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Must-catch cases for the post-run check: each stray state below is
+    //! one a broken contract or protocol could leave behind, and the check
+    //! has to reject it. The compiler-control excuse is pinned to exactly
+    //! the memoized `[first, end)` ranges of exactly the memoizing node.
+    use crate::dir::DirState;
+    use crate::proto::Dsm;
+    use fgdsm_tempest::{Access, Cluster, CostModel, HomePolicy, SegmentLayout};
+
+    /// Three nodes, round-robin pages: blocks 0..32 (page 0) home on
+    /// node 0, where they start exclusive.
+    fn dsm() -> Dsm {
+        let cfg = CostModel::paper_dual_cpu();
+        let mut layout = SegmentLayout::new(cfg.words_per_page());
+        layout.alloc(4096);
+        Dsm::new(Cluster::new(3, cfg, &layout, HomePolicy::RoundRobin))
+    }
+
+    fn rejects(d: &Dsm, needle: &str) {
+        match d.check_consistency() {
+            Ok(()) => panic!("check accepted a state it must reject ({needle})"),
+            Err(e) => assert!(e.contains(needle), "unexpected error: {e}"),
+        }
+    }
+
+    #[test]
+    fn initial_and_plain_protocol_states_pass() {
+        let mut d = dsm();
+        d.check_consistency().unwrap();
+        d.read_access(1, 0);
+        d.write_access_excl(2, 1);
+        d.release_barrier();
+        d.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn stray_read_write_under_excl_elsewhere_is_rejected() {
+        let mut d = dsm();
+        d.cluster.set_tag(1, 3, Access::ReadWrite);
+        rejects(
+            &d,
+            "block 3: node 1 is ReadWrite but directory says Excl(0)",
+        );
+    }
+
+    #[test]
+    fn stray_read_write_under_shared_is_rejected() {
+        let mut d = dsm();
+        d.read_access(1, 3);
+        assert!(matches!(d.dir_state(3), DirState::Shared { .. }));
+        d.check_consistency().unwrap();
+        d.cluster.set_tag(2, 3, Access::ReadWrite);
+        rejects(&d, "block 3: node 2 is ReadWrite but directory says Shared");
+    }
+
+    #[test]
+    fn read_only_copy_outside_sharer_mask_is_rejected() {
+        let mut d = dsm();
+        d.read_access(1, 3);
+        d.cluster.set_tag(2, 3, Access::ReadOnly);
+        rejects(&d, "block 3: node 2 is ReadOnly but not in sharer mask");
+    }
+
+    #[test]
+    fn surviving_multi_is_rejected() {
+        let mut d = dsm();
+        d.write_access_multi(1, 3);
+        d.write_access_multi(2, 3);
+        assert!(matches!(d.dir_state(3), DirState::Multi { .. }));
+        rejects(&d, "block 3: Multi state survived a release");
+        d.release_barrier();
+        d.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn memoized_window_excuses_exactly_its_range_and_node() {
+        let mut d = dsm();
+        // Two overlapping memo entries on node 1: the excuse covers their
+        // union [4, 12) and nothing else.
+        assert!(d.implicit_writable(1, 4, 8, true));
+        assert!(d.implicit_writable(1, 6, 12, true));
+        d.check_consistency().unwrap();
+        for b in [4, 7, 8, 11] {
+            assert_eq!(d.cluster.tag(1, b), Access::ReadWrite);
+        }
+        // Just outside either end of the window, on the memoizing node.
+        for b in [3, 12] {
+            d.cluster.set_tag(1, b, Access::ReadWrite);
+            rejects(&d, &format!("block {b}: node 1 is ReadWrite"));
+            d.cluster.set_tag(1, b, Access::Invalid);
+            d.check_consistency().unwrap();
+        }
+        // The same range on another node is not excused.
+        for b in [4, 11] {
+            d.cluster.set_tag(2, b, Access::ReadWrite);
+            rejects(&d, &format!("block {b}: node 2 is ReadWrite"));
+            d.cluster.set_tag(2, b, Access::Invalid);
+        }
+        // The excuse also holds under Shared (a third party's default
+        // read of a compiler-controlled block).
+        d.read_access(2, 5);
+        assert!(matches!(d.dir_state(5), DirState::Shared { .. }));
+        d.check_consistency().unwrap();
+        d.cluster.set_tag(0, 5, Access::ReadWrite);
+        rejects(&d, "block 5: node 0 is ReadWrite but directory says Shared");
+        d.cluster.set_tag(0, 5, Access::ReadOnly);
+        d.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn cleared_memo_passes_again() {
+        let mut d = dsm();
+        assert!(d.implicit_writable(1, 4, 8, true));
+        assert!(d.implicit_writable(2, 6, 10, true));
+        d.check_consistency().unwrap();
+        d.clear_iw_memo();
+        for b in 4..10 {
+            assert_eq!(d.cluster.tag(1, b), Access::Invalid);
+            assert_eq!(d.cluster.tag(2, b), Access::Invalid);
+        }
+        d.check_consistency().unwrap();
+        // With the memo gone the former window is no longer excused.
+        d.cluster.set_tag(1, 5, Access::ReadWrite);
+        rejects(
+            &d,
+            "block 5: node 1 is ReadWrite but directory says Excl(0)",
+        );
     }
 }

@@ -93,6 +93,9 @@ pub struct Dsm {
     pub(crate) inbox_blocks: Vec<u64>,
     /// Memo for run-time overhead elimination: ranges already made
     /// implicitly writable at a node (§4.3's "first time around" test).
+    /// Doubles as the record of compiler-controlled tags, which the
+    /// post-run check reads through the per-node index built by
+    /// [`Dsm::ctl_windows`] rather than by scanning the set per block.
     pub(crate) iw_memo: std::collections::BTreeSet<(NodeId, usize, usize)>,
     /// Capacity-retaining free lists for transfer plans, recycled across
     /// supersteps by [`Dsm::recycle_plans`] so steady-state planning
@@ -109,6 +112,22 @@ pub struct Dsm {
     /// The active protocol; taken out during dispatch to avoid a double
     /// borrow, always put back (`None` only mid-call).
     proto: Option<Box<dyn Protocol>>,
+}
+
+/// The compiler-controlled windows of every node, indexed for lookup:
+/// per node, the union of its memoized `implicit_writable` ranges as
+/// disjoint `(first, end)` block ranges in ascending order. Built by
+/// [`Dsm::ctl_windows`].
+pub(crate) struct CtlWindows(Vec<Vec<(usize, usize)>>);
+
+impl CtlWindows {
+    /// Whether block `b` at `node` lies in one of its windows — exactly
+    /// when some memo entry `(node, first, end)` has `first <= b < end`.
+    pub(crate) fn contains(&self, node: NodeId, b: usize) -> bool {
+        let ranges = &self.0[node];
+        let idx = ranges.partition_point(|&(_, end)| end <= b);
+        idx < ranges.len() && ranges[idx].0 <= b
+    }
 }
 
 /// Everything strict wire mode needs: the per-node [`Mailbox`] staging
@@ -920,11 +939,25 @@ impl Dsm {
     /// supersteps: `implicit_writable(.., memoize=true)` leaves the range
     /// in `iw_memo` and the matching `implicit_invalidate` is skipped, so
     /// the memo is exactly the record of blocks whose tags are under
-    /// compiler control. `check_consistency` excuses those pairs.
-    pub(crate) fn is_ctl_block(&self, node: NodeId, b: usize) -> bool {
-        self.iw_memo
-            .iter()
-            .any(|&(n, first, end)| n == node && (first..end).contains(&b))
+    /// compiler control. `check_consistency` excuses those pairs, looking
+    /// them up in this index: built once per check, one pass over the
+    /// memo, then O(log n) per (node, block) query.
+    pub(crate) fn ctl_windows(&self) -> CtlWindows {
+        let mut per_node: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.cluster.nprocs()];
+        // The memo iterates in (node, first, end) order, so each node's
+        // ranges arrive sorted by `first`: merging overlaps in one pass
+        // leaves disjoint, ascending windows.
+        for &(n, first, end) in &self.iw_memo {
+            if first >= end {
+                continue;
+            }
+            let ranges = &mut per_node[n];
+            match ranges.last_mut() {
+                Some(last) if first <= last.1 => last.1 = last.1.max(end),
+                _ => ranges.push((first, end)),
+            }
+        }
+        CtlWindows(per_node)
     }
 
     /// Drop every memoized `implicit_writable` range, forcing the next
@@ -986,8 +1019,13 @@ impl Dsm {
     }
 
     /// Check internal consistency between directory state, tags and data;
-    /// used by tests after barriers ("a final barrier assures that things
-    /// are consistent again with the information at the directory").
+    /// run after every executor run and by tests after barriers ("a final
+    /// barrier assures that things are consistent again with the
+    /// information at the directory"). Cost is bounded by the traffic
+    /// footprint: only [`touched_blocks`](Dsm::touched_blocks) are
+    /// scanned, and the eager protocol's compiler-control excuse is one
+    /// lookup in an index of `iw_memo` built once per call
+    /// ([`Dsm::ctl_windows`]).
     pub fn check_consistency(&self) -> Result<(), String> {
         self.proto().check(self)
     }
